@@ -19,7 +19,7 @@
 // million-client simulation rate (internal/workload), writing
 // BENCH_6.json by default. With -wire it records proxied fetch
 // throughput over real TCP, lockstep Version1 versus the pipelined
-// Version2 wire path (tagged PDUs, shared connections, batched sets),
+// Version3 wire path (tagged PDUs, shared connections, batched sets),
 // writing BENCH_7.json by default. With -archive it records the archive
 // tier at production scale: fixed-width query latency as the raw tier
 // grows 1x/32x/1000x, the avg_over rollup-pushdown speedup, and

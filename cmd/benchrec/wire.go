@@ -37,7 +37,7 @@ type WireRun struct {
 // wireMain records the wire-path overhaul's headline number
 // (BENCH_7.json): proxied fetch throughput, lockstep Version1
 // (connection-per-worker, one request in flight each) versus the
-// pipelined Version2 path (tagged PDUs, shared connections, batched
+// pipelined Version3 path (tagged PDUs, shared connections, batched
 // sets), plus a latency pair at equal offered load showing the
 // pipelined path's tail is no worse where the lockstep tier can still
 // keep up.
@@ -140,7 +140,7 @@ func wireMain(out string, duration time.Duration) {
 		EqualLoad  []WireRun `json:"equal_load"`
 		P99Ratio   float64   `json:"p99_ratio"`
 	}{
-		Note: "proxied fetch wire path, lockstep Version1 vs pipelined Version2 (tagged PDUs, " +
+		Note: "proxied fetch wire path, lockstep Version1 vs pipelined Version3 (tagged PDUs, " +
 			"shared connections, batched sets, vectored writes): open-loop throughput at saturation, " +
 			"then a latency pair at equal offered load (75% of lockstep capacity). Throughput and " +
 			"offered rates count fetched PMID sets per second.",

@@ -120,7 +120,7 @@ func TestServedFederatorBatchParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() < pcp.Version2 {
+	if c.Version() != pcp.Version3 {
 		t.Fatalf("served federator negotiated version %d, want tagged", c.Version())
 	}
 

@@ -1,231 +1,68 @@
 package cluster
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"runtime"
-	"sync"
-	"time"
 
 	"papimc/internal/pcp"
 )
 
 // Server serves a Federator over the PCP PDU protocol, so a tree can
 // span processes and machines: a parent federator dials it like any
-// daemon, and partial results travel as PDUFetchPartialResp. The
-// accept/serve structure mirrors pcp.Daemon's.
+// daemon, and partial results travel as PDUFetchPartialResp.
+//
+// Tagged connections use Concurrent dispatch: each request runs in its
+// own goroutine, so a fetch whose scatter is stalled on a hedging or
+// dead edge does not head-of-line-block the requests queued behind it.
+// At the federation tier per-request latency is dominated by downstream
+// round trips, not handler CPU, so concurrency is where pipelining pays.
 type Server struct {
-	f  *Federator
-	ln net.Listener
-
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-
-	connMu sync.Mutex
-	conns  map[net.Conn]struct{}
+	f   *Federator
+	srv *pcp.Server
 }
 
 // Serve starts serving f on addr (e.g. "127.0.0.1:0") and returns the
 // running server and its bound address.
 func Serve(f *Federator, addr string) (*Server, string, error) {
-	ln, err := net.Listen("tcp", addr)
+	s := &Server{f: f}
+	s.srv = pcp.NewServer(pcp.Concurrent, func() pcp.Handler { return s.handleReq })
+	bound, err := s.srv.Start(addr)
 	if err != nil {
-		return nil, "", fmt.Errorf("cluster: listen: %w", err)
+		return nil, "", err
 	}
-	s := &Server{
-		f:      f,
-		ln:     ln,
-		closed: make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
-	}
-	// Shard the accept path like pcp.Daemon: one blocked Accept per
-	// processor, load-balanced by the kernel, so connection setup does
-	// not serialise behind a single goroutine wakeup.
-	shards := runtime.GOMAXPROCS(0)
-	s.wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		go s.acceptLoop()
-	}
-	return s, ln.Addr().String(), nil
+	return s, bound, nil
 }
 
-const acceptBackoffMax = time.Second
-
-func (s *Server) acceptLoop() {
-	defer s.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := s.ln.Accept()
-		if err != nil {
-			select {
-			case <-s.closed:
-				return
-			default:
-			}
-			if backoff == 0 {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-s.closed:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
-		s.connMu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer func() {
-				conn.Close()
-				s.connMu.Lock()
-				delete(s.conns, conn)
-				s.connMu.Unlock()
-			}()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := pcp.ServerHandshake(br, bw); err != nil {
-		return
-	}
-	var payloadBuf, respBuf []byte
-	for {
-		typ, payload, err := pcp.ReadPDUInto(br, payloadBuf)
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		if typ == pcp.PDUVersionReq {
-			respType, resp, version := pcp.NegotiateVersionV(payload, respBuf[:0])
-			respBuf = resp
-			if err := pcp.WritePDU(bw, respType, resp); err != nil {
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				return
-			}
-			if version >= pcp.Version2 {
-				s.serveTagged(conn, br, bw, version >= pcp.Version3)
-				return
-			}
-			continue
-		}
-		respType, resp := s.handleReq(typ, payload)
-		if err := pcp.WritePDU(bw, respType, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-	}
-}
-
-// taggedConcurrency caps in-flight requests per tagged connection: a
-// pipelined client cannot spawn unbounded handler goroutines; past the
-// cap the reader blocks, which is exactly TCP backpressure.
-const taggedConcurrency = 32
-
-// serveTagged serves the tagged, pipelined protocol with true
-// out-of-order completion: each request runs in its own goroutine, so a
-// fetch whose scatter is stalled on a hedging or dead edge does not
-// head-of-line-block the requests queued behind it. This differs from
-// pcp.ServeTagged (sequential) deliberately — at the federation tier
-// per-request latency is dominated by downstream round trips, not
-// handler CPU, so concurrency is where pipelining pays. Responses are
-// serialised by a write mutex.
-func (s *Server) serveTagged(conn net.Conn, br *bufio.Reader, bw *bufio.Writer, wide bool) {
-	var (
-		wmu sync.Mutex
-		wg  sync.WaitGroup
-	)
-	sem := make(chan struct{}, taggedConcurrency)
-	defer wg.Wait()
-	var payloadBuf []byte
-	for {
-		var (
-			typ     uint8
-			tag     uint32
-			tenant  uint32
-			payload []byte
-			err     error
-		)
-		if wide {
-			typ, tag, tenant, payload, err = pcp.ReadWidePDUInto(br, payloadBuf)
-		} else {
-			typ, tag, payload, err = pcp.ReadTaggedPDUInto(br, payloadBuf)
-		}
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		// The handler runs concurrently with the next read, so it gets
-		// its own copy of the payload.
-		req := append([]byte(nil), payload...)
-		sem <- struct{}{}
-		wg.Add(1)
-		go func(typ uint8, tag, tenant uint32, payload []byte) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			respType, resp := s.handleReq(typ, payload)
-			wmu.Lock()
-			defer wmu.Unlock()
-			var werr error
-			if wide {
-				werr = pcp.WriteWidePDU(bw, respType, tag, tenant, resp)
-			} else {
-				werr = pcp.WriteTaggedPDU(bw, respType, tag, resp)
-			}
-			if werr != nil {
-				conn.Close() // unblocks the reader; the loop exits on its error
-				return
-			}
-			if err := bw.Flush(); err != nil {
-				conn.Close()
-			}
-		}(typ, tag, tenant, req)
-	}
-}
+// Close stops the listener, disconnects clients, and waits for handlers.
+func (s *Server) Close() error { return s.srv.Close() }
 
 // handleReq dispatches one request PDU to the federator and encodes the
-// response. It allocates its buffers because the tagged path runs it
-// from concurrent goroutines; at this tier the downstream scatter
-// dwarfs the allocation cost.
-func (s *Server) handleReq(typ uint8, payload []byte) (uint8, []byte) {
-	switch typ {
+// response. It keeps no per-connection scratch because the tagged path
+// runs it from concurrent goroutines; at this tier the downstream
+// scatter dwarfs the allocation cost.
+func (s *Server) handleReq(dst []byte, req pcp.Request) (uint8, []byte) {
+	switch req.Type {
 	case pcp.PDUNamesReq:
-		return pcp.PDUNamesResp, pcp.AppendNamesResp(nil, s.f.names)
+		return pcp.PDUNamesResp, pcp.AppendNamesResp(dst, s.f.names)
 	case pcp.PDUFetchReq:
-		pmids, err := pcp.DecodeFetchReqInto(payload, nil)
+		pmids, err := pcp.DecodeFetchReqInto(req.Payload, nil)
 		if err != nil {
-			return pcp.PDUError, pcp.AppendError(nil, err.Error())
+			return pcp.PDUError, pcp.AppendError(dst, err.Error())
 		}
 		res, ferr := s.f.Fetch(pmids)
-		return s.answer(nil, res, ferr)
+		return s.answer(dst, res, ferr)
 	case pcp.PDUFetchAllReq:
 		res, ferr := s.f.FetchAll()
-		return s.answer(nil, res, ferr)
+		return s.answer(dst, res, ferr)
 	case pcp.PDUFetchBatchReq:
-		sets, err := pcp.DecodeFetchBatchReqInto(payload, nil)
+		sets, err := pcp.DecodeFetchBatchReqInto(req.Payload, nil)
 		if err != nil {
-			return pcp.PDUError, pcp.AppendError(nil, err.Error())
+			return pcp.PDUError, pcp.AppendError(dst, err.Error())
 		}
 		results, ferr := s.f.FetchBatch(sets)
-		return s.answerBatch(nil, results, ferr)
+		return s.answerBatch(dst, results, ferr)
 	default:
-		return pcp.PDUError, pcp.AppendError(nil, fmt.Sprintf("unknown PDU type %d", typ))
+		return pcp.PDUError, pcp.AppendError(dst, fmt.Sprintf("unknown PDU type %d", req.Type))
 	}
 }
 
@@ -257,20 +94,4 @@ func (s *Server) answerBatch(dst []byte, results []pcp.FetchResult, err error) (
 	default:
 		return pcp.PDUError, pcp.AppendError(dst, err.Error())
 	}
-}
-
-// Close stops the listener, disconnects clients, and waits for handlers.
-func (s *Server) Close() error {
-	var err error
-	s.closeOnce.Do(func() {
-		close(s.closed)
-		err = s.ln.Close()
-		s.connMu.Lock()
-		for conn := range s.conns {
-			conn.Close()
-		}
-		s.connMu.Unlock()
-		s.wg.Wait()
-	})
-	return err
 }

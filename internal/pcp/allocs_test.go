@@ -54,3 +54,32 @@ func TestFetchReqRoundTripDoesNotAllocate(t *testing.T) {
 		t.Errorf("round trip corrupted pmids: %v", dst)
 	}
 }
+
+// TestFetchIntoTCPDoesNotAllocate pins the zero-alloc wire round trip:
+// a warm pipelined FetchInto against a daemon over loopback TCP
+// allocates nothing on either side of the connection — the server loop
+// reuses its per-connection encode buffer and both sides flush their
+// frame batches without allocating.
+func TestFetchIntoTCPDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates in sync.Pool and channel operations")
+	}
+	_, _, addr := startPipelineDaemon(t, 16)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	pmids := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+	var res FetchResult
+	if err := c.FetchInto(pmids, &res); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := c.FetchInto(pmids, &res); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("loopback FetchInto allocates %.1f objects per round trip, want 0", got)
+	}
+}

@@ -13,7 +13,7 @@ import (
 // Client is an unprivileged connection to a PMCD daemon. It is safe for
 // concurrent use.
 //
-// Against a Version2 peer (negotiated at connection setup) the client
+// Against a Version3 peer (negotiated at connection setup) the client
 // pipelines: many requests stay outstanding on the one connection, a
 // writer goroutine coalesces them into vectored tagged frames, and a
 // demux reader completes them out of order, each under its own
@@ -29,7 +29,7 @@ type Client struct {
 	armed   bool          // lockstep: whether a conn deadline is set
 
 	version uint32    // negotiated wire version (read-only after setup)
-	pl      *pipeline // non-nil iff version >= Version2
+	pl      *pipeline // non-nil iff version == Version3
 
 	// Scratch buffers reused across lockstep round trips (guarded by
 	// mu): the encoded request and the received payload. A round trip's
@@ -112,16 +112,16 @@ func newClientConn(conn net.Conn, magic string, maxVersion uint32) (*Client, err
 			return nil, err
 		}
 	}
-	if c.version >= Version2 {
-		c.pl = newPipeline(conn, c.br, c.version >= Version3)
+	if c.version == Version3 {
+		c.pl = newPipeline(conn, c.br)
 	}
 	return c, nil
 }
 
 // DialTenant is Dial plus SetTenant: the connection identifies itself as
 // the given tenant on every request (requires a Version3 peer for the
-// tenant to travel in-band; against older peers it is silently absent,
-// and the server accounts the connection as the default tenant).
+// tenant to travel in-band; against a Version1 peer it is silently
+// absent, and the server accounts the connection as the default tenant).
 func DialTenant(addr string, tenant uint32) (*Client, error) {
 	c, err := Dial(addr)
 	if err != nil {
@@ -131,20 +131,20 @@ func DialTenant(addr string, tenant uint32) (*Client, error) {
 	return c, nil
 }
 
-// SetTenant sets the tenant stamped on every subsequent request's wide
-// frame. It only has wire effect on a Version3 (or later) connection;
-// on older connections it is a no-op. Safe for concurrent use; requests
+// SetTenant sets the tenant stamped on every subsequent request's tagged
+// frame. It only has wire effect on a Version3 connection; on a
+// Version1 connection it is a no-op. Safe for concurrent use; requests
 // already enqueued keep the tenant they were issued with.
 func (c *Client) SetTenant(tenant uint32) {
-	if c.pl != nil && c.pl.wide {
+	if c.pl != nil {
 		c.pl.tenant.Store(tenant)
 	}
 }
 
 // Tenant returns the tenant currently stamped on outgoing requests
-// (zero — the default tenant — on connections below Version3).
+// (zero — the default tenant — on a Version1 connection).
 func (c *Client) Tenant() uint32 {
-	if c.pl != nil && c.pl.wide {
+	if c.pl != nil {
 		return c.pl.tenant.Load()
 	}
 	return 0
@@ -174,6 +174,9 @@ func (c *Client) negotiate(maxVersion uint32) error {
 		}
 		if v > maxVersion {
 			return fmt.Errorf("%w: server negotiated version %d above our %d", ErrProtocol, v, maxVersion)
+		}
+		if v != Version1 && v != Version3 {
+			return fmt.Errorf("%w: server negotiated unknown version %d", ErrProtocol, v)
 		}
 		c.version = v
 	case PDUError:
@@ -385,7 +388,7 @@ func (c *Client) FetchAllInto(res *FetchResult) error {
 }
 
 // FetchBatch fetches multiple PMID sets in one round trip: the answer
-// to sets[i] is results[i], and on a Version2 connection every set is
+// to sets[i] is results[i], and on a Version3 connection every set is
 // served from one snapshot — the network analogue of a whole
 // multi-component EventSet read. Partial federated answers return both
 // valid results and one *PartialError covering the batch.

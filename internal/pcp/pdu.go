@@ -40,11 +40,12 @@ const (
 	PDUFetchAllReq uint8 = 6
 	// PDUVersionReq negotiates the wire protocol version after the magic
 	// handshake: the payload is the sender's maximum version, the reply
-	// (PDUVersionResp) is min(client max, server max). A Version1-only
-	// server answers it with PDUError instead — which is exactly the
-	// fallback signal, since the connection stays usable in lockstep
-	// framing. At Version2 and above both sides switch to tagged frames
-	// (see WriteTaggedPDU) immediately after the version exchange.
+	// (PDUVersionResp) is Version3 when that maximum is at least 3 and
+	// Version1 otherwise. A Version1-only server answers it with PDUError
+	// instead — which is exactly the fallback signal, since the
+	// connection stays usable in lockstep framing. At Version3 both sides
+	// switch to tagged frames (see frame.go) immediately after the
+	// version exchange.
 	PDUVersionReq  uint8 = 7
 	PDUVersionResp uint8 = 8
 	// PDUFetchBatchReq carries multiple PMID sets so one round trip
@@ -57,7 +58,7 @@ const (
 	// i32 status code plus a message, so a client can classify a
 	// server-side rejection (overload shed, quota) programmatically
 	// instead of string-matching a PDUError. Servers only send it to
-	// peers that negotiated Version3 or higher; older peers get a plain
+	// peers that negotiated Version3; Version1 peers get a plain
 	// PDUError with the same message.
 	PDUStatusError uint8 = 254
 	PDUError       uint8 = 255
@@ -68,13 +69,12 @@ const (
 	// Version1 is the original lockstep protocol: plain 5-byte frames,
 	// one request outstanding per connection.
 	Version1 uint32 = 1
-	// Version2 adds tagged 9-byte frames (pipelining with out-of-order
-	// completion) and the batch fetch PDUs.
-	Version2 uint32 = 2
-	// Version3 widens the tagged frame header with a tenant field (see
-	// WriteWidePDU) so multi-tenant QoS travels in-band, and adds
-	// PDUStatusError for typed server-side rejections. Version1 and
-	// Version2 peers negotiate down and never see either.
+	// Version3 adds tagged 13-byte frames carrying a request tag and a
+	// tenant (see frame.go): pipelining with out-of-order
+	// completion, with multi-tenant QoS in-band. It also adds the batch
+	// fetch PDUs and PDUStatusError for typed server-side rejections.
+	// Version 2, a tagged frame without the tenant word, is retired; a
+	// peer announcing it negotiates Version1.
 	Version3 uint32 = 3
 	// MaxVersion is the newest version this package speaks.
 	MaxVersion = Version3

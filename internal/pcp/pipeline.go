@@ -25,12 +25,13 @@ var ErrRequestTimeout = fmt.Errorf("pcp: request timed out: %w", os.ErrDeadlineE
 
 // pcall is one in-flight pipelined request: the encoded request payload,
 // the slot the response lands in, and the completion signal. Calls are
-// pooled; a call abandoned on timeout is left to the garbage collector
-// instead, because the writer or reader may still hold a reference.
+// pooled; a call abandoned on timeout or failed by a transport error is
+// left to the garbage collector instead, because the writer or reader
+// may still hold a reference.
 type pcall struct {
 	typ     uint8
 	tag     uint32
-	tenant  uint32 // stamped on the request's wide frame (Version3)
+	tenant  uint32 // stamped on the request's tagged frame
 	req     []byte // encoded request payload (owned, reused)
 	resp    []byte // response payload (owned, reused)
 	respTyp uint8
@@ -77,7 +78,7 @@ func (c *pcall) wait(d time.Duration) error {
 	}
 }
 
-// pipeline is the Version2 transport of a Client: a writer goroutine
+// pipeline is the Version3 transport of a Client: a writer goroutine
 // that drains a request queue into vectored, coalesced tagged frames,
 // and a demux reader that completes calls by tag — many requests
 // outstanding per connection, out-of-order completion, per-request
@@ -88,11 +89,7 @@ type pipeline struct {
 	wq   chan *pcall
 	quit chan struct{} // closed by fail; unblocks enqueue and the writer
 
-	// wide selects Version3 framing: every frame carries a tenant field
-	// (requests send the client's tenant, responses echo it). Set once at
-	// construction, before the loops start.
-	wide   bool
-	tenant atomic.Uint32 // tenant stamped on outgoing wide frames
+	tenant atomic.Uint32 // tenant stamped on outgoing frames
 
 	mu      sync.Mutex
 	pending map[uint32]*pcall
@@ -107,12 +104,11 @@ type pipeline struct {
 // backpressure by blocking enqueue until the writer drains.
 const pipelineQueueDepth = 256
 
-func newPipeline(conn net.Conn, br *bufio.Reader, wide bool) *pipeline {
+func newPipeline(conn net.Conn, br *bufio.Reader) *pipeline {
 	p := &pipeline{
 		conn:       conn,
 		wq:         make(chan *pcall, pipelineQueueDepth),
 		quit:       make(chan struct{}),
-		wide:       wide,
 		pending:    make(map[uint32]*pcall),
 		readerDone: make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -170,11 +166,7 @@ func (p *pipeline) writeLoop() {
 	defer close(p.writerDone)
 	var batch frameBatch
 	appendCall := func(c *pcall) error {
-		if p.wide {
-			_, err := batch.appendWide(c.typ, c.tag, c.tenant, c.req)
-			return err
-		}
-		_, err := batch.appendFrame(c.typ, c.tag, c.req)
+		_, err := batch.append(c.typ, c.tag, c.tenant, c.req)
 		return err
 	}
 	for {
@@ -212,17 +204,7 @@ func (p *pipeline) writeLoop() {
 func (p *pipeline) readLoop(br *bufio.Reader) {
 	defer close(p.readerDone)
 	for {
-		var (
-			typ uint8
-			tag uint32
-			n   uint32
-			err error
-		)
-		if p.wide {
-			typ, tag, _, n, err = ReadWideHeader(br) // echoed tenant is informational
-		} else {
-			typ, tag, n, err = ReadTaggedHeader(br)
-		}
+		typ, tag, _, n, err := ReadTaggedHeader(br) // the echoed tenant is informational
 		if err != nil {
 			p.fail(err)
 			return
@@ -305,9 +287,10 @@ func (p *pipeline) roundTrip(reqType uint8, enc func(dst []byte) []byte, d time.
 		return nil, err
 	}
 	if call.err != nil {
-		err := call.err
-		putCall(call)
-		return nil, err
+		// A transport failure completes every pending call, including
+		// ones still queued for the writer, which may yet read them: like
+		// an abandoned call, a failed one is never pooled again.
+		return nil, call.err
 	}
 	switch call.respTyp {
 	case want1, want2:

@@ -15,7 +15,7 @@ import (
 // (internal/chaos) pins its upstream clients to Version1 because its
 // conservation laws count one fatal fault per failed round trip — exact
 // only when requests are single-flight. These tests are the pipelined
-// counterpart: deterministic faultconn faults against a Version2
+// counterpart: deterministic faultconn faults against a Version3
 // connection with many requests in flight, asserting the per-request
 // contract — every outstanding request surfaces a typed error, nothing
 // hangs, and a per-request deadline fails only its own request.
@@ -55,7 +55,7 @@ func TestPipelinedMidStreamReset(t *testing.T) {
 		}},
 	})
 	defer c.Close()
-	if c.Version() < Version2 {
+	if c.Version() != Version3 {
 		t.Fatalf("negotiated version %d, want pipelined", c.Version())
 	}
 

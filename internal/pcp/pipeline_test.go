@@ -38,7 +38,7 @@ func startPipelineDaemon(t *testing.T, n int) (*Daemon, *simtime.Clock, string) 
 	return d, clock, addr
 }
 
-// startV1OnlyServer hand-rolls a pre-Version2 daemon: correct magic
+// startV1OnlyServer hand-rolls a Version1-only daemon: correct magic
 // handshake and lockstep serving, but PDUVersionReq — like any unknown
 // type — gets a PDUError. A negotiating client must fall back to
 // Version1 against it.
@@ -59,7 +59,7 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 				defer conn.Close()
 				br := bufio.NewReader(conn)
 				bw := bufio.NewWriter(conn)
-				if err := ServerHandshake(br, bw); err != nil {
+				if err := serverHandshake(br, bw); err != nil {
 					return
 				}
 				for {
@@ -100,16 +100,18 @@ func startV1OnlyServer(t *testing.T, names []NameEntry, res FetchResult) string 
 	return ln.Addr().String()
 }
 
-// TestVersionNegotiationMatrix covers every pairing of negotiating and
-// older peers: new<->new lands on Version3 wide frames, a Version2-capped
-// client gets tagged frames, while a capped (old) client against a new
-// daemon and a new client against a v1-only daemon both fall back to
-// Version1 lockstep — with results identical to the upgraded pairing's.
+// TestVersionNegotiationMatrix covers the 2x2 matrix of {Version1,
+// Version3} clients against {Version1, Version3} servers: new<->new
+// lands on Version3 tagged frames, while a Version1-capped client
+// against the new daemon, a new client against a v1-only daemon, and a
+// capped client against it all settle on Version1 lockstep — with
+// results identical to the upgraded pairing's. A peer announcing the
+// retired version 2 negotiates Version1 and gets the same answers too.
 func TestVersionNegotiationMatrix(t *testing.T) {
 	_, _, addr := startPipelineDaemon(t, 4)
 	pmids := []uint32{1, 2, 3, 4}
 
-	// New client, new daemon: Version3 pipelined wide frames.
+	// New client, new daemon: Version3 pipelined tagged frames.
 	cNew, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
@@ -127,52 +129,31 @@ func TestVersionNegotiationMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Version2-capped client, new daemon: tagged frames, same answers.
-	cV2, err := DialMax(addr, Version2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cV2.Close()
-	if v := cV2.Version(); v != Version2 {
-		t.Fatalf("v2-capped client negotiated version %d, want %d", v, Version2)
-	}
-	namesV2, err := cV2.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resV2, err := cV2.Fetch(pmids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(namesNew, namesV2) {
-		t.Fatalf("namespaces differ across versions:\nv3: %v\nv2: %v", namesNew, namesV2)
-	}
-	if !reflect.DeepEqual(resNew, resV2) {
-		t.Fatalf("fetch results differ across versions:\nv3: %+v\nv2: %+v", resNew, resV2)
-	}
-
-	// Old client (capped at Version1), new daemon: lockstep fallback.
-	cOld, err := DialMax(addr, Version1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cOld.Close()
-	if v := cOld.Version(); v != Version1 {
-		t.Fatalf("old client negotiated version %d, want %d", v, Version1)
-	}
-	namesOld, err := cOld.Names()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resOld, err := cOld.Fetch(pmids)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(namesNew, namesOld) {
-		t.Fatalf("namespaces differ across versions:\nv2: %v\nv1: %v", namesNew, namesOld)
-	}
-	if !reflect.DeepEqual(resNew, resOld) {
-		t.Fatalf("fetch results differ across versions:\nv2: %+v\nv1: %+v", resNew, resOld)
+	// Old client (capped at Version1) and a peer announcing max 2, new
+	// daemon: both lockstep, same answers.
+	for _, maxV := range []uint32{Version1, 2} {
+		cOld, err := DialMax(addr, maxV)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cOld.Close()
+		if v := cOld.Version(); v != Version1 {
+			t.Fatalf("max-%d client negotiated version %d, want %d", maxV, v, Version1)
+		}
+		namesOld, err := cOld.Names()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resOld, err := cOld.Fetch(pmids)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(namesNew, namesOld) {
+			t.Fatalf("max-%d namespace differs:\nv3: %v\nv1: %v", maxV, namesNew, namesOld)
+		}
+		if !reflect.DeepEqual(resNew, resOld) {
+			t.Fatalf("max-%d fetch results differ:\nv3: %+v\nv1: %+v", maxV, resNew, resOld)
+		}
 	}
 
 	// New client, v1-only daemon: the version probe gets a PDUError and
@@ -322,14 +303,14 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 		defer conn.Close()
 		br := bufio.NewReader(conn)
 		bw := bufio.NewWriter(conn)
-		if err := ServerHandshake(br, bw); err != nil {
+		if err := serverHandshake(br, bw); err != nil {
 			return
 		}
 		typ, payload, err := ReadPDU(br)
 		if err != nil || typ != PDUVersionReq {
 			return
 		}
-		respType, resp, version := NegotiateVersionV(payload, nil)
+		respType, resp, version := negotiate(payload, nil)
 		if version < Version3 {
 			return
 		}
@@ -340,10 +321,10 @@ func TestPipelinedTimeoutKeepsConnectionUsable(t *testing.T) {
 		parked := false
 		answer := func(tag, tenant uint32) bool {
 			body := EncodeFetchResp(FetchResult{Timestamp: 9, Values: []FetchValue{{PMID: 1, Status: StatusOK, Value: 9}}})
-			return WriteWidePDU(bw, PDUFetchResp, tag, tenant, body) == nil && bw.Flush() == nil
+			return writeTagged(bw, PDUFetchResp, tag, tenant, body) == nil && bw.Flush() == nil
 		}
 		for {
-			typ, tag, tenant, _, err := ReadWidePDUInto(br, nil)
+			typ, tag, tenant, _, err := ReadTaggedPDUInto(br, nil)
 			if err != nil {
 				return
 			}
@@ -406,7 +387,7 @@ func TestPipelineConcurrentStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() < Version2 {
+	if c.Version() != Version3 {
 		t.Fatalf("negotiated version %d, want pipelined", c.Version())
 	}
 

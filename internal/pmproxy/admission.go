@@ -17,7 +17,8 @@ import (
 var ErrAdmissionRejected = fmt.Errorf("pmproxy: admission rejected: %w", pcp.ErrOverload)
 
 // DefaultTenant is the tenant requests carry when the client never set
-// one (Version1/Version2 peers, or in-process callers using Fetch).
+// one (tagged frames with tenant 0, Version1 peers, or in-process
+// callers using Fetch).
 const DefaultTenant uint32 = 0
 
 // AdmitRequest is one admission decision's input: who is asking, how

@@ -341,8 +341,7 @@ func TestTenantConservation(t *testing.T) {
 // TestTenantWirePath proves the QoS surface end to end over the wire:
 // a Version3 client's tenant tag selects its quota, sheds come back as
 // typed pcp.ErrOverload, a degradable tenant silently gets stale data,
-// and Version1/Version2 peers see exactly the plain errors they always
-// did.
+// and Version1 peers see exactly the plain errors they always did.
 func TestTenantWirePath(t *testing.T) {
 	bed, p, addr := startQoSBed(t)
 	setA := []uint32{1}
@@ -390,27 +389,25 @@ func TestTenantWirePath(t *testing.T) {
 		t.Errorf("tenant 2 stats = %+v, want StaleServed 1", got)
 	}
 
-	// Version2 and Version1 peers carry no tenant: they account to the
-	// quota-less default tenant and see a plain error PDU — no typed
-	// status, no behaviour change on old wires.
-	for _, maxV := range []uint32{pcp.Version2, pcp.Version1} {
-		c, err := pcp.DialMax(addr, maxV)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = c.Fetch([]uint32{7, 8}) // distinct set: never cache-hits
-		if err == nil {
-			t.Fatalf("v%d quota-less fetch must fail", maxV)
-		}
-		if errors.Is(err, pcp.ErrOverload) {
-			t.Errorf("v%d peer got a typed overload; old wires must see plain errors", maxV)
-		}
-		if !strings.Contains(err.Error(), "admission rejected") {
-			t.Errorf("v%d error %q does not carry the rejection message", maxV, err)
-		}
-		c.Close()
+	// A Version1 peer carries no tenant: it accounts to the quota-less
+	// default tenant and sees a plain error PDU — no typed status, no
+	// behaviour change on the old wire.
+	c, err := pcp.DialMax(addr, pcp.Version1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.TenantStatsFor(DefaultTenant); got.Shed != 2 {
-		t.Errorf("default tenant stats = %+v, want Shed 2", got)
+	defer c.Close()
+	_, err = c.Fetch([]uint32{7, 8}) // distinct set: never cache-hits
+	if err == nil {
+		t.Fatal("v1 quota-less fetch must fail")
+	}
+	if errors.Is(err, pcp.ErrOverload) {
+		t.Error("v1 peer got a typed overload; the old wire must see plain errors")
+	}
+	if !strings.Contains(err.Error(), "admission rejected") {
+		t.Errorf("v1 error %q does not carry the rejection message", err)
+	}
+	if got := p.TenantStatsFor(DefaultTenant); got.Shed != 1 {
+		t.Errorf("default tenant stats = %+v, want Shed 1", got)
 	}
 }

@@ -21,7 +21,7 @@ func TestProxyFetchBatchOneUpstreamRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if c.Version() < pcp.Version2 {
+	if c.Version() != pcp.Version3 {
 		t.Fatalf("client negotiated version %d, want batch-capable", c.Version())
 	}
 

@@ -107,3 +107,29 @@ func BenchmarkParallelProxyTCP(b *testing.B) {
 		}
 	})
 }
+
+// TestProxyFetchIntoTCPDoesNotAllocate pins the zero-alloc proxied
+// round trip: a warm pipelined FetchInto answered from the proxy's
+// interval cache over loopback TCP allocates nothing on either side.
+func TestProxyFetchIntoTCPDoesNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates in sync.Pool and channel operations")
+	}
+	_, _, _, _, addr := rig(t, nil)
+	c, err := pcp.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var res pcp.FetchResult
+	if err := c.FetchInto(benchPMIDs, &res); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := c.FetchInto(benchPMIDs, &res); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("proxied loopback FetchInto allocates %.1f objects per round trip, want 0", got)
+	}
+}

@@ -29,11 +29,8 @@
 package pmproxy
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
-	"net"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -196,13 +193,7 @@ type nameTable struct {
 // Proxy is the daemon. Create with New, then Start.
 type Proxy struct {
 	cfg Config
-
-	ln        net.Listener
-	wg        sync.WaitGroup
-	closed    chan struct{}
-	closeOnce sync.Once
-	connMu    sync.Mutex
-	conns     map[net.Conn]struct{}
+	srv *pcp.Server
 
 	// Upstream connection pool: sem bounds concurrent upstream round
 	// trips; idle connections are kept on the free list for reuse.
@@ -256,13 +247,12 @@ func New(cfg Config) *Proxy {
 		cfg.BackoffMax = time.Second
 	}
 	p := &Proxy{
-		cfg:    cfg,
-		closed: make(chan struct{}),
-		conns:  make(map[net.Conn]struct{}),
-		sem:    make(chan struct{}, cfg.PoolSize),
-		sleep:  time.Sleep,
-		boRng:  xrand.New(cfg.Seed),
+		cfg:   cfg,
+		sem:   make(chan struct{}, cfg.PoolSize),
+		sleep: time.Sleep,
+		boRng: xrand.New(cfg.Seed),
 	}
+	p.srv = pcp.NewServer(pcp.Sequential, p.newConn)
 	for i := range p.shards {
 		p.shards[i].m = make(map[string]*entry)
 	}
@@ -640,9 +630,17 @@ func (p *Proxy) fetch(tenant uint32, pmids []uint32, local map[string]*entry) (p
 			return p.shedOrStale(tenant, tc, e, aerr)
 		}
 	}
-	var res pcp.FetchResult
+	// The entry is stamped with the proxy time read before the round
+	// trip that answered: the daemon sampled no earlier than that, while
+	// the completion time would overstate freshness by however far the
+	// clock moved during the round trip.
+	var (
+		res       pcp.FetchResult
+		fetchedAt int64
+	)
 	err := p.withUpstreamTenant(tenant, func(c *pcp.Client) error {
 		var ferr error
+		fetchedAt = p.now()
 		res, ferr = c.Fetch(pmids)
 		return ferr
 	})
@@ -666,7 +664,7 @@ func (p *Proxy) fetch(tenant uint32, pmids []uint32, local map[string]*entry) (p
 	}
 	p.upstreamFetches.Add(1)
 	tc.admitted.Add(1)
-	e.cur.Store(&cached{res: res, fetchedAt: p.now()})
+	e.cur.Store(&cached{res: res, fetchedAt: fetchedAt})
 	return res, nil
 }
 
@@ -778,9 +776,13 @@ func (p *Proxy) fetchBatch(tenant uint32, sets [][]uint32, local map[string]*ent
 	for j, g := range held {
 		missSets[j] = g.pmids
 	}
-	var out []pcp.FetchResult
+	var (
+		out       []pcp.FetchResult
+		fetchedAt int64 // read before the round trip, as in fetch
+	)
 	err := p.withUpstreamTenant(tenant, func(c *pcp.Client) error {
 		var ferr error
+		fetchedAt = p.now()
 		out, ferr = c.FetchBatch(missSets)
 		return ferr
 	})
@@ -815,9 +817,8 @@ func (p *Proxy) fetchBatch(tenant uint32, sets [][]uint32, local map[string]*ent
 	p.upstreamFetches.Add(int64(len(held)))
 	p.upstreamBatchRTs.Add(1)
 	tc.admitted.Add(int64(heldSets))
-	now := p.now()
 	for j, g := range held {
-		g.e.cur.Store(&cached{res: out[j], fetchedAt: now})
+		g.e.cur.Store(&cached{res: out[j], fetchedAt: fetchedAt})
 		for _, i := range g.indices {
 			results[i] = out[j]
 		}
@@ -885,211 +886,86 @@ func (p *Proxy) Names() ([]pcp.NameEntry, error) {
 
 // Start listens on addr (e.g. "127.0.0.1:0") and serves clients in the
 // background until Close. It returns the bound address.
-func (p *Proxy) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", fmt.Errorf("pmproxy: listen: %w", err)
-	}
-	return p.StartOn(ln), nil
-}
+func (p *Proxy) Start(addr string) (string, error) { return p.srv.Start(addr) }
 
-// StartOn serves clients on an existing listener until Close. It is the
-// injection point for wrapped listeners (fault injection, custom
-// transports). It returns the listener's address.
-//
-// Accepting is sharded per core, like the daemon's: GOMAXPROCS
-// goroutines block in Accept on the one listener so a connection burst
-// is admitted in parallel.
-func (p *Proxy) StartOn(ln net.Listener) string {
-	p.ln = ln
-	n := runtime.GOMAXPROCS(0)
-	p.wg.Add(n)
-	for i := 0; i < n; i++ {
-		go p.acceptLoop()
-	}
-	return ln.Addr().String()
-}
-
-// acceptBackoffMax caps the sleep between retries of a failing Accept.
-const acceptBackoffMax = time.Second
-
-func (p *Proxy) acceptLoop() {
-	defer p.wg.Done()
-	var backoff time.Duration
-	for {
-		conn, err := p.ln.Accept()
-		if err != nil {
-			select {
-			case <-p.closed:
-				return
-			default:
-			}
-			// Transient accept errors: back off with a capped doubling
-			// sleep instead of spinning hot.
-			if backoff == 0 {
-				backoff = time.Millisecond
-			} else if backoff *= 2; backoff > acceptBackoffMax {
-				backoff = acceptBackoffMax
-			}
-			select {
-			case <-p.closed:
-				return
-			case <-time.After(backoff):
-			}
-			continue
-		}
-		backoff = 0
-		p.connMu.Lock()
-		p.conns[conn] = struct{}{}
-		p.connMu.Unlock()
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			defer func() {
-				conn.Close()
-				p.connMu.Lock()
-				delete(p.conns, conn)
-				p.connMu.Unlock()
-			}()
-			p.serveConn(conn)
-		}()
-	}
-}
-
-// proxyScratch is the per-connection reusable serving state: encode
-// buffer, decoded PMID scratch, and the connection's entry memo (the
-// cache-shard affinity map).
+// proxyScratch is the per-connection reusable serving state: decoded
+// PMID scratch and the connection's entry memo (the cache-shard affinity
+// map).
 type proxyScratch struct {
-	respBuf []byte
-	pmids   []uint32
-	sets    [][]uint32
-	local   map[string]*entry
+	pmids []uint32
+	sets  [][]uint32
+	local map[string]*entry
 }
 
-// errPDU encodes a serving error: a typed PDUStatusError for peers
-// that negotiated Version3 (typed=true) when the error is a recognised
-// overload, a plain PDUError otherwise — so Version1/Version2 clients
-// see exactly the messages they always did.
-func errPDU(s *proxyScratch, err error, typed bool) (uint8, []byte) {
+// newConn builds the handler for one connection around its own scratch.
+func (p *Proxy) newConn() pcp.Handler {
+	s := &proxyScratch{local: make(map[string]*entry)}
+	return func(dst []byte, req pcp.Request) (uint8, []byte) { return p.handleReq(dst, req, s) }
+}
+
+// errPDU encodes a serving error: a typed PDUStatusError for peers that
+// negotiated Version3 (typed=true) when the error is a recognised
+// overload, a plain PDUError otherwise — so Version1 clients see exactly
+// the messages they always did.
+func errPDU(dst []byte, err error, typed bool) (uint8, []byte) {
 	if typed && errors.Is(err, pcp.ErrOverload) {
-		return pcp.PDUStatusError, pcp.AppendStatusError(s.respBuf[:0], pcp.StatusOverload, err.Error())
+		return pcp.PDUStatusError, pcp.AppendStatusError(dst, pcp.StatusOverload, err.Error())
 	}
-	return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
+	return pcp.PDUError, pcp.AppendError(dst, err.Error())
 }
 
-// handleReq serves one decoded request PDU, shared by the lockstep,
-// tagged and wide loops. tenant is the requester's in-band identity
-// (DefaultTenant below Version3); typed selects PDUStatusError
+// handleReq serves one decoded request PDU, appending the response
+// payload to dst. req.Tenant is the requester's in-band identity
+// (DefaultTenant on Version1); req.Tagged selects PDUStatusError
 // encoding for overload rejections.
-func (p *Proxy) handleReq(typ uint8, tenant uint32, payload []byte, s *proxyScratch, typed bool) (uint8, []byte) {
-	switch typ {
+func (p *Proxy) handleReq(dst []byte, req pcp.Request, s *proxyScratch) (uint8, []byte) {
+	switch req.Type {
 	case pcp.PDUNamesReq:
 		entries, err := p.Names()
 		if err != nil {
-			return errPDU(s, err, typed)
+			return errPDU(dst, err, req.Tagged)
 		}
-		return pcp.PDUNamesResp, pcp.AppendNamesResp(s.respBuf[:0], entries)
+		return pcp.PDUNamesResp, pcp.AppendNamesResp(dst, entries)
 	case pcp.PDUFetchReq:
-		pmids, err := pcp.DecodeFetchReqInto(payload, s.pmids[:0])
+		pmids, err := pcp.DecodeFetchReqInto(req.Payload, s.pmids[:0])
 		if err != nil {
-			return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
+			return pcp.PDUError, pcp.AppendError(dst, err.Error())
 		}
 		s.pmids = pmids
-		res, err := p.fetch(tenant, pmids, s.local)
+		res, err := p.fetch(req.Tenant, pmids, s.local)
 		if err != nil {
-			return errPDU(s, err, typed)
+			return errPDU(dst, err, req.Tagged)
 		}
-		return pcp.PDUFetchResp, pcp.AppendFetchResp(s.respBuf[:0], res)
+		return pcp.PDUFetchResp, pcp.AppendFetchResp(dst, res)
 	case pcp.PDUFetchBatchReq:
-		sets, err := pcp.DecodeFetchBatchReqInto(payload, s.sets[:0])
+		sets, err := pcp.DecodeFetchBatchReqInto(req.Payload, s.sets[:0])
 		if err != nil {
-			return pcp.PDUError, pcp.AppendError(s.respBuf[:0], err.Error())
+			return pcp.PDUError, pcp.AppendError(dst, err.Error())
 		}
 		s.sets = sets
-		results, err := p.fetchBatch(tenant, sets, s.local)
+		results, err := p.fetchBatch(req.Tenant, sets, s.local)
 		if err != nil {
-			return errPDU(s, err, typed)
+			return errPDU(dst, err, req.Tagged)
 		}
-		return pcp.PDUFetchBatchResp, pcp.AppendFetchBatchResp(s.respBuf[:0], results, nil, "")
+		return pcp.PDUFetchBatchResp, pcp.AppendFetchBatchResp(dst, results, nil, "")
 	default:
-		return pcp.PDUError, pcp.AppendError(s.respBuf[:0], fmt.Sprintf("unknown PDU type %d", typ))
+		return pcp.PDUError, pcp.AppendError(dst, fmt.Sprintf("unknown PDU type %d", req.Type))
 	}
 }
 
-// serveConn speaks the daemon side of the PDU protocol to one client:
-// lockstep until a PDUVersionReq negotiates Version2 (tagged frames) or
-// Version3 (wide frames carrying the tenant in-band).
-func (p *Proxy) serveConn(conn net.Conn) {
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	if err := pcp.ServerHandshake(br, bw); err != nil {
-		return
-	}
-	// Per-connection scratch reused across requests so steady-state
-	// coalesced serving does not allocate.
-	var payloadBuf []byte
-	s := proxyScratch{local: make(map[string]*entry)}
-	for {
-		typ, payload, err := pcp.ReadPDUInto(br, payloadBuf)
-		if err != nil {
-			return
-		}
-		payloadBuf = payload
-		var respType uint8
-		var resp []byte
-		var version uint32
-		if typ == pcp.PDUVersionReq {
-			respType, resp, version = pcp.NegotiateVersionV(payload, s.respBuf[:0])
-			s.respBuf = resp
-		} else {
-			respType, resp = p.handleReq(typ, DefaultTenant, payload, &s, false)
-		}
-		if err := pcp.WritePDU(bw, respType, resp); err != nil {
-			return
-		}
-		if err := bw.Flush(); err != nil {
-			return
-		}
-		switch {
-		case version >= pcp.Version3:
-			pcp.ServeTaggedWide(conn, br, func(typ uint8, tenant uint32, payload []byte) (uint8, []byte) {
-				return p.handleReq(typ, tenant, payload, &s, true)
-			})
-			return
-		case version >= pcp.Version2:
-			pcp.ServeTagged(conn, br, func(typ uint8, payload []byte) (uint8, []byte) {
-				return p.handleReq(typ, DefaultTenant, payload, &s, false)
-			})
-			return
-		}
-	}
-}
-
-// Close stops the listener, disconnects clients, drops the pooled
-// upstream connections, and waits for handlers to finish. It is
-// idempotent.
+// Close stops the listener, disconnects clients, and waits for handlers
+// to finish, then shuts the fair queue and drops the pooled upstream
+// connections. It is idempotent.
 func (p *Proxy) Close() error {
-	var err error
-	p.closeOnce.Do(func() {
-		close(p.closed)
-		if p.queue != nil {
-			p.queue.shutdown()
-		}
-		if p.ln != nil {
-			err = p.ln.Close()
-		}
-		p.connMu.Lock()
-		for conn := range p.conns {
-			conn.Close()
-		}
-		p.connMu.Unlock()
-		p.freeMu.Lock()
-		for _, c := range p.free {
-			c.Close()
-		}
-		p.free = nil
-		p.freeMu.Unlock()
-		p.wg.Wait()
-	})
+	if p.queue != nil {
+		p.queue.shutdown()
+	}
+	err := p.srv.Close()
+	p.freeMu.Lock()
+	for _, c := range p.free {
+		c.Close()
+	}
+	p.free = nil
+	p.freeMu.Unlock()
 	return err
 }

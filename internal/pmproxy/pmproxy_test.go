@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -199,6 +200,72 @@ func TestStaleServingWhenUpstreamDown(t *testing.T) {
 	// An uncached pmid-set has nothing to degrade to: error PDU.
 	if _, err := c.Fetch([]uint32{3}); err == nil {
 		t.Error("expected error for uncached set with upstream down")
+	}
+}
+
+// TestFreshnessStampedBeforeRoundTrip: a cache entry's freshness runs
+// from the proxy time read before the upstream round trip, not after
+// it. Here the virtual clock steps twice while a fetch is in flight
+// (from inside the daemon's metric read); every answer served afterwards
+// must still be at most one Interval older than the clock. Stamping at
+// completion served the pre-step sample for two more intervals.
+func TestFreshnessStampedBeforeRoundTrip(t *testing.T) {
+	clock := simtime.NewClock()
+	var steps atomic.Bool // armed: the next metric read steps the clock twice
+	d, err := pcp.NewDaemon(clock, sampleInterval, []pcp.Metric{{
+		Name: "step.now",
+		Read: func(now simtime.Time) (uint64, error) {
+			if steps.CompareAndSwap(true, false) {
+				clock.Advance(sampleInterval)
+				clock.Advance(sampleInterval)
+			}
+			return uint64(now), nil
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	upstream, err := d.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	p := New(Config{Upstream: upstream, Clock: clock, Interval: sampleInterval, Timeout: 2 * time.Second})
+	defer p.Close()
+
+	pmids := []uint32{1}
+	paths := []struct {
+		name  string
+		fetch func() (pcp.FetchResult, error)
+	}{
+		{"fetch", func() (pcp.FetchResult, error) { return p.Fetch(pmids) }},
+		{"batch", func() (pcp.FetchResult, error) {
+			out, err := p.FetchBatch([][]uint32{pmids})
+			if err != nil {
+				return pcp.FetchResult{}, err
+			}
+			return out[0], nil
+		}},
+	}
+	for _, path := range paths {
+		clock.Advance(sampleInterval) // age out the previous path's entry
+		steps.Store(true)
+		if _, err := path.fetch(); err != nil {
+			t.Fatalf("%s: %v", path.name, err)
+		}
+		if steps.Load() {
+			t.Fatalf("%s: the round trip never read the stepping metric", path.name)
+		}
+		for i := 0; i < 3; i++ {
+			res, err := path.fetch()
+			if err != nil {
+				t.Fatalf("%s: %v", path.name, err)
+			}
+			if age := int64(clock.Now()) - res.Timestamp; age > int64(sampleInterval) {
+				t.Fatalf("%s: answer %d served %dns old, over one interval (%dns)",
+					path.name, i, age, int64(sampleInterval))
+			}
+		}
 	}
 }
 
