@@ -75,26 +75,8 @@ func main() {
 			Workers: *workers,
 			Trial:   *trial,
 		}
-		start := time.Now()
-		rep, err := chaos.RunOverload(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep)
-		fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-		if rep.Failed() {
-			bad := 0
-			for _, tr := range rep.Trials {
-				if len(tr.Violations) > 0 {
-					bad++
-					fmt.Printf("repro: %s\n", chaos.OverloadReproLine(o, tr.Index))
-				}
-			}
-			fmt.Printf("FAIL: %d of %d trials violated the overload contract\n", bad, len(rep.Trials))
-			os.Exit(1)
-		}
-		fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
+		finish(o.Seed, "overload", func() (report, error) { return chaos.RunOverload(o) },
+			func(trial int) string { return chaos.OverloadReproLine(o, trial) })
 		return
 	}
 
@@ -119,26 +101,8 @@ func main() {
 			Profile: prof,
 			Trial:   *trial,
 		}
-		start := time.Now()
-		rep, err := chaos.RunCluster(o)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
-			os.Exit(2)
-		}
-		fmt.Print(rep)
-		fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-		if rep.Failed() {
-			bad := 0
-			for _, tr := range rep.Trials {
-				if len(tr.Violations) > 0 {
-					bad++
-					fmt.Printf("repro: %s\n", chaos.ClusterReproLine(o, tr.Index))
-				}
-			}
-			fmt.Printf("FAIL: %d of %d trials violated the partial-result contract\n", bad, len(rep.Trials))
-			os.Exit(1)
-		}
-		fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
+		finish(o.Seed, "partial-result", func() (report, error) { return chaos.RunCluster(o) },
+			func(trial int) string { return chaos.ClusterReproLine(o, trial) })
 		return
 	}
 
@@ -170,26 +134,42 @@ func main() {
 		BreakStale: *breakStale,
 		Trial:      *trial,
 	}
+	finish(o.Seed, "serving", func() (report, error) { return chaos.Run(o) },
+		func(trial int) string { return chaos.ReproLine(o, trial) })
+}
+
+// report is what every chaos suite returns: the deterministic report
+// text and each trial's verdict.
+type report interface {
+	String() string
+	Verdicts() []chaos.Verdict
+}
+
+// finish is the one run/report/repro/exit block every mode ends in. A
+// harness error exits 2. Otherwise stdout carries only the
+// deterministic report (byte-identical for a fixed seed at any -j),
+// timing goes to stderr, and a run with violations prints one repro
+// line per failing trial and exits 1.
+func finish(seed uint64, contract string, run func() (report, error), repro func(trial int) string) {
 	start := time.Now()
-	rep, err := chaos.Run(o)
+	rep, err := run()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaos: %v\n", err)
 		os.Exit(2)
 	}
-	// stdout carries only the deterministic report (byte-identical for a
-	// fixed seed at any -j); timing goes to stderr.
 	fmt.Print(rep)
 	fmt.Fprintf(os.Stderr, "elapsed %.2fs\n", time.Since(start).Seconds())
-	if rep.Failed() {
-		bad := 0
-		for _, tr := range rep.Trials {
-			if len(tr.Violations) > 0 {
-				bad++
-				fmt.Printf("repro: %s\n", chaos.ReproLine(o, tr.Index))
-			}
+	verdicts := rep.Verdicts()
+	bad := 0
+	for _, v := range verdicts {
+		if len(v.Violations) > 0 {
+			bad++
+			fmt.Printf("repro: %s\n", repro(v.Index))
 		}
-		fmt.Printf("FAIL: %d of %d trials violated the serving contract\n", bad, len(rep.Trials))
+	}
+	if bad > 0 {
+		fmt.Printf("FAIL: %d of %d trials violated the %s contract\n", bad, len(verdicts), contract)
 		os.Exit(1)
 	}
-	fmt.Printf("ok: %d trials, seed %#x\n", len(rep.Trials), o.Seed)
+	fmt.Printf("ok: %d trials, seed %#x\n", len(verdicts), seed)
 }

@@ -7,18 +7,14 @@
 // over real TCP connections. Point -target at an address to load an
 // externally started daemon or proxy instead.
 //
-// In -sim mode latencies come from a seeded deterministic service-time
-// model and time is virtual, so the whole report is bit-identical across
-// runs — useful for diffing sweeps and for CI. Without -sim, latencies
-// are wall-clock round-trip times.
-//
-// With -spec it instead runs a declarative workload model (see
-// internal/workload): cohorts, rate curves, diurnal patterns and
+// Sweep latencies are wall-clock round-trip times. For a deterministic,
+// diffable run use -spec: it runs a declarative workload model (see
+// internal/workload) — cohorts, rate curves, diurnal patterns and
 // heavy-tailed request mixes expand into a deterministic request
 // stream, executed in virtual time by default (millions of clients,
-// seconds of wall clock) or against a real tier with -live. The run can
-// be recorded to a compact trace with -record and replayed bit-exact
-// with -replay.
+// seconds of wall clock, bit-identical across runs) or against a real
+// tier with -live. The run can be recorded to a compact trace with
+// -record and replayed bit-exact with -replay.
 //
 // With -tenant N every connection identifies itself in-band as that
 // tenant (protocol Version3), so a QoS-enabled pmproxy applies the
@@ -30,14 +26,15 @@
 // Usage:
 //
 //	pcploadgen [-target both|daemon|proxy|ADDR] [-mode closed|open]
-//	           [-sweep 1,2,4,8] [-ops 200] [-rate 50000] [-sim] [-seed 1]
+//	           [-sweep 1,2,4,8] [-ops 200] [-rate 50000]
 //	           [-pipeline N] [-batch B] [-tenant N | -tenants name=id,...]
 //	pcploadgen -spec FILE [-mult M] [-record FILE | -replay FILE]
 //	           [-live [-target ADDR] [-workers N]]
 //
-// Example deterministic sweep and workload run:
+// Example live open-loop sweep and deterministic workload runs:
 //
-//	pcploadgen -sim -mode open -rate 100000 -sweep 1,4,16
+//	pcploadgen -target daemon -mode open -rate 20000 -sweep 1,4 -ops 100
+//	pcploadgen -spec examples/workload-specs/capacity.yaml
 //	pcploadgen -spec examples/workload-specs/diurnal.yaml -mult 0.5
 package main
 
@@ -59,16 +56,12 @@ func main() {
 	machine := flag.String("machine", "summit", "summit | tellico (self-hosted testbed)")
 	mode := flag.String("mode", "closed", "closed | open")
 	sweepFlag := flag.String("sweep", "1,2,4,8", "comma-separated worker counts")
-	ops := flag.Int("ops", 200, "requests per worker (0 = run live mode for -duration)")
-	duration := flag.Duration("duration", time.Second, "live-mode wall deadline when -ops is 0")
+	ops := flag.Int("ops", 200, "requests per worker (0 = run for -duration)")
+	duration := flag.Duration("duration", time.Second, "wall deadline when -ops is 0")
 	rate := flag.Float64("rate", 50_000, "open-loop total arrival rate, requests/second")
 	numPMIDs := flag.Int("pmids", 8, "number of metrics each request fetches")
 	pipeline := flag.Int("pipeline", 0, "share N pipelined connections across all workers (0 = one lockstep-style connection per worker)")
 	batch := flag.Int("batch", 1, "PMID sets per request: >1 bundles them into one FetchBatch round trip")
-	sim := flag.Bool("sim", false, "deterministic simulated-time latencies")
-	seed := flag.Uint64("seed", 1, "simulated-time model seed")
-	base := flag.Duration("base", 10*time.Microsecond, "simulated-time mean service time")
-	jitter := flag.Float64("jitter", 0.25, "simulated-time relative jitter")
 	specPath := flag.String("spec", "", "workload spec file: run the workload model instead of a sweep")
 	mult := flag.Float64("mult", 0, "workload rate multiplier (0 = spec's own, or the replayed trace's)")
 	record := flag.String("record", "", "write the workload run's request trace to this file")
@@ -104,12 +97,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "pcploadgen: unknown mode %q\n", *mode)
 		os.Exit(2)
-	}
-	if *sim {
-		opts.Sim = &loadgen.SimModel{Seed: *seed, Base: *base, Jitter: *jitter}
-		if opts.Ops <= 0 {
-			opts.Ops = 200
-		}
 	}
 
 	// Resolve targets: self-hosted testbed tiers or an external address.
@@ -160,9 +147,6 @@ func main() {
 		}
 		if *tenant != 0 {
 			fmt.Printf(" tenant=%d", *tenant)
-		}
-		if *sim {
-			fmt.Printf(" sim(seed=%d base=%v jitter=%g)", *seed, *base, *jitter)
 		}
 		fmt.Println()
 		if *tenants != "" {

@@ -39,11 +39,12 @@
 //
 // Determinism: a trial's entire behaviour — fault trace, stats, verdict
 // — is a pure function of (Options.Seed, trial index). Each trial runs
-// single-threaded against its own testbed, trials parallelize via
-// sweep.Map with in-order reassembly, and all randomness (op mix, pmid
-// subsets, clock advances, fault offsets, retry jitter) derives from
-// SplitMix64 substreams of the trial seed. The same seed reproduces the
-// same report at any worker count.
+// single-threaded against its own testbed, trials parallelize through
+// the runner every suite shares (runner.go: sweep.Map with in-order
+// reassembly), and all randomness (op mix, pmid subsets, clock
+// advances, fault offsets, retry jitter) derives from SplitMix64
+// substreams of the trial seed. The same seed reproduces the same
+// report at any worker count.
 package chaos
 
 import (
@@ -51,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -60,7 +62,6 @@ import (
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/simtime"
-	"papimc/internal/sweep"
 	"papimc/internal/xrand"
 )
 
@@ -99,57 +100,34 @@ type Options struct {
 // Trial is one trial's observed outcome. All fields are deterministic
 // functions of (base seed, index).
 type Trial struct {
-	Index int
-	Seed  uint64
+	Verdict
 
-	Fetches    int // proxy.Fetch calls (direct + recorder tee)
-	NameOps    int
-	FetchErrs  int
-	NameErrs   int
-	Stale      int // successes served with an old (declared) timestamp
-	Inconsist  int // values failing the certVal check (corruption mode)
-	Records    int // rows in the recorder's archive after replay
-	Faults     faultconn.Stats
-	Proxy      pmproxy.Stats
-	Trace      []faultconn.Fault
-	Violations []string
+	Fetches   int // proxy.Fetch calls (direct + recorder tee)
+	NameOps   int
+	FetchErrs int
+	NameErrs  int
+	Stale     int // successes served with an old (declared) timestamp
+	Inconsist int // values failing the certVal check (corruption mode)
+	Records   int // rows in the recorder's archive after replay
+	Faults    faultconn.Stats
+	Proxy     pmproxy.Stats
+	Trace     []faultconn.Fault
 }
 
 // Report is a full run's outcome.
-type Report struct {
-	Opts   Options
-	Trials []Trial
-}
+type Report = Results[Options, Trial]
 
-// Failed reports whether any trial violated an invariant.
-func (r *Report) Failed() bool {
-	for _, t := range r.Trials {
-		if len(t.Violations) > 0 {
-			return true
-		}
+// writeReport renders the trial's report line and its fault trace.
+func (t Trial) writeReport(b *strings.Builder) {
+	fmt.Fprintf(b, "trial %02d seed=%#016x ops=%d fetches=%d names=%d errs=%d/%d stale=%d inconsistent=%d records=%d faults[%s] proxy[fetch=%d up=%d coal=%d stale=%d/%d uerr=%d retry=%d exh=%d redial=%d]\n",
+		t.Index, t.Seed, t.Fetches+t.NameOps, t.Fetches, t.NameOps,
+		t.FetchErrs, t.NameErrs, t.Stale, t.Inconsist, t.Records, t.Faults,
+		t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
+		t.Proxy.StaleServes, t.Proxy.StaleNameServes, t.Proxy.UpstreamErrors,
+		t.Proxy.Retries, t.Proxy.Exhausted, t.Proxy.Redials)
+	for _, f := range t.Trace {
+		fmt.Fprintf(b, "  fault %s\n", f)
 	}
-	return false
-}
-
-// String renders the deterministic per-trial report. Two runs with the
-// same options produce byte-identical output at any worker count.
-func (r *Report) String() string {
-	var b strings.Builder
-	for _, t := range r.Trials {
-		fmt.Fprintf(&b, "trial %02d seed=%#016x ops=%d fetches=%d names=%d errs=%d/%d stale=%d inconsistent=%d records=%d faults[%s] proxy[fetch=%d up=%d coal=%d stale=%d/%d uerr=%d retry=%d exh=%d redial=%d]\n",
-			t.Index, t.Seed, t.Fetches+t.NameOps, t.Fetches, t.NameOps,
-			t.FetchErrs, t.NameErrs, t.Stale, t.Inconsist, t.Records, t.Faults,
-			t.Proxy.ClientFetches, t.Proxy.UpstreamFetches, t.Proxy.CoalescedHits,
-			t.Proxy.StaleServes, t.Proxy.StaleNameServes, t.Proxy.UpstreamErrors,
-			t.Proxy.Retries, t.Proxy.Exhausted, t.Proxy.Redials)
-		for _, f := range t.Trace {
-			fmt.Fprintf(&b, "  fault %s\n", f)
-		}
-		for _, v := range t.Violations {
-			fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-		}
-	}
-	return b.String()
 }
 
 // certGamma decorrelates the pmid and timestamp inputs of certVal.
@@ -159,14 +137,7 @@ const certGamma = 0x9E3779B97F4A7C15
 // read at daemon time ts. Full-avalanche, so any single-bit disagreement
 // between a served value and its timestamp is detected.
 func certVal(pmid uint32, ts int64) uint64 {
-	return mix(uint64(ts)*certGamma + uint64(pmid))
-}
-
-// mix is one SplitMix64 scramble.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return xrand.Mix(uint64(ts)*certGamma + uint64(pmid))
 }
 
 // Metrics builds the testbed's self-certifying metric set. Names are
@@ -228,42 +199,65 @@ func ProfileNames() []string {
 	return names
 }
 
+// withStallCap is s with Run's MaxStall default applied: 100ms, so
+// stall-heavy sweeps stay fast.
+func withStallCap(s faultconn.Schedule) faultconn.Schedule {
+	if s.MaxStall <= 0 {
+		s.MaxStall = 100 * time.Millisecond
+	}
+	return s
+}
+
+// profileOf names the Profiles entry that s is, or returns "" when s is
+// no named profile. Both sides are compared with Run's defaults applied,
+// so a schedule before and after Run names the same profile.
+func profileOf(s faultconn.Schedule) string {
+	for _, name := range ProfileNames() {
+		if reflect.DeepEqual(withStallCap(s), withStallCap(Profiles[name])) {
+			return name
+		}
+	}
+	return ""
+}
+
 // ReproLine is the one-command replay for a failing trial: running it
-// re-executes exactly that trial (same seed substream, same schedule)
-// and reprints its fault trace and violations.
+// re-executes exactly that trial (same seed substream, same schedule,
+// same round-trip timeout) and reprints its fault trace and violations.
+// A named profile replays as -profile, which carries the fields the
+// individual fault flags cannot (MaxStall, LatencyAmount).
 func ReproLine(o Options, trial int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "go run ./cmd/chaos -seed %#x -trials %d -trial %d -ops %d", o.Seed, maxInt(o.Trials, trial+1), trial, o.Ops)
-	s := o.Schedule
-	if s.RefuseProb > 0 {
-		fmt.Fprintf(&b, " -refuse %g", s.RefuseProb)
+	fmt.Fprintf(&b, "go run ./cmd/chaos -seed %#x -trials %d -trial %d -ops %d", o.Seed, max(o.Trials, trial+1), trial, o.Ops)
+	if name := profileOf(o.Schedule); name != "" {
+		fmt.Fprintf(&b, " -profile %s", name)
+	} else {
+		s := o.Schedule
+		if s.RefuseProb > 0 {
+			fmt.Fprintf(&b, " -refuse %g", s.RefuseProb)
+		}
+		if s.ResetEvery > 0 {
+			fmt.Fprintf(&b, " -reset %d", s.ResetEvery)
+		}
+		if s.StallEvery > 0 {
+			fmt.Fprintf(&b, " -stall %d", s.StallEvery)
+		}
+		if s.CorruptEvery > 0 {
+			fmt.Fprintf(&b, " -corrupt %d", s.CorruptEvery)
+		}
+		if s.LatencyEvery > 0 {
+			fmt.Fprintf(&b, " -latency %d", s.LatencyEvery)
+		}
+		if s.MaxChunk > 0 {
+			fmt.Fprintf(&b, " -chunk %d", s.MaxChunk)
+		}
 	}
-	if s.ResetEvery > 0 {
-		fmt.Fprintf(&b, " -reset %d", s.ResetEvery)
-	}
-	if s.StallEvery > 0 {
-		fmt.Fprintf(&b, " -stall %d", s.StallEvery)
-	}
-	if s.CorruptEvery > 0 {
-		fmt.Fprintf(&b, " -corrupt %d", s.CorruptEvery)
-	}
-	if s.LatencyEvery > 0 {
-		fmt.Fprintf(&b, " -latency %d", s.LatencyEvery)
-	}
-	if s.MaxChunk > 0 {
-		fmt.Fprintf(&b, " -chunk %d", s.MaxChunk)
+	if o.Timeout > 0 {
+		fmt.Fprintf(&b, " -timeout %v", o.Timeout)
 	}
 	if o.BreakStale {
 		b.WriteString(" -break-stale")
 	}
 	return b.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Run executes the chaos sweep. The error is only for harness failures
@@ -279,26 +273,8 @@ func Run(o Options) (*Report, error) {
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Second
 	}
-	if o.Schedule.MaxStall <= 0 {
-		o.Schedule.MaxStall = 100 * time.Millisecond
-	}
-	rep := &Report{Opts: o}
-	if o.Trial >= 0 {
-		t, err := runTrial(o, o.Trial)
-		if err != nil {
-			return nil, err
-		}
-		rep.Trials = []Trial{t}
-		return rep, nil
-	}
-	trials, err := sweep.Map(o.Trials, o.Workers, func(i int) (Trial, error) {
-		return runTrial(o, i)
-	})
-	if err != nil {
-		return nil, err
-	}
-	rep.Trials = trials
-	return rep, nil
+	o.Schedule = withStallCap(o.Schedule)
+	return runTrials(o, o.Seed, o.Trials, o.Trial, o.Workers, runTrial)
 }
 
 // fetcher adapts the in-process Proxy to archive.Fetcher (the proxy has
@@ -322,12 +298,9 @@ func (f fetcher) Lookup(name string) (uint32, error) {
 
 // runTrial drives one complete testbed single-threadedly. Everything
 // stochastic derives from the trial seed.
-func runTrial(o Options, idx int) (Trial, error) {
-	seed := sweep.Seed(o.Seed, idx)
-	t := Trial{Index: idx, Seed: seed}
-	violate := func(format string, args ...any) {
-		t.Violations = append(t.Violations, fmt.Sprintf(format, args...))
-	}
+func runTrial(o Options, vd Verdict) (Trial, error) {
+	t := Trial{Verdict: vd}
+	seed := vd.Seed
 
 	clock := simtime.NewClock()
 	daemon, err := pcp.NewDaemon(clock, Interval, Metrics())
@@ -362,7 +335,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 		MaxRetries: 2,
 		Backoff:    time.Millisecond,
 		BackoffMax: 4 * time.Millisecond,
-		Seed:       mix(seed ^ backoffStream),
+		Seed:       xrand.Mix(seed ^ backoffStream),
 		PoolSize:   1,
 	})
 	defer proxy.Close()
@@ -380,7 +353,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 		}
 	}
 
-	rng := xrand.New(mix(seed ^ opStream))
+	rng := xrand.New(xrand.Mix(seed ^ opStream))
 	allPMIDs := make([]uint32, NumMetrics)
 	for i := range allPMIDs {
 		allPMIDs[i] = uint32(i + 1)
@@ -411,7 +384,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				t.Inconsist++ // a flipped timestamp byte, tolerated
 				return
 			}
-			violate("result timestamp %d is in the future (now %d)", ts, now)
+			t.violate("result timestamp %d is in the future (now %d)", ts, now)
 		}
 		// The driver only advances the clock in whole-interval steps, so
 		// a fresh (or coalesced) answer has ts == now exactly and a stale
@@ -429,7 +402,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				t.Inconsist++
 				return
 			}
-			violate("result has %d values for a %d-pmid request", len(res.Values), len(requested))
+			t.violate("result has %d values for a %d-pmid request", len(res.Values), len(requested))
 			return
 		}
 		for i, v := range res.Values {
@@ -439,14 +412,14 @@ func runTrial(o Options, idx int) (Trial, error) {
 			}
 			t.Inconsist++
 			if !corruptOn {
-				violate("torn/corrupt value: op-ts=%d pmid=%d (want %d) status=%d value=%#x want=%#x",
+				t.violate("torn/corrupt value: op-ts=%d pmid=%d (want %d) status=%d value=%#x want=%#x",
 					res.Timestamp, v.PMID, requested[i], v.Status, v.Value, certVal(v.PMID, ts))
 			}
 		}
 	}
 	checkErr := func(err error, path string) {
 		if !errors.Is(err, pmproxy.ErrUpstreamDown) {
-			violate("unclean %s error (not ErrUpstreamDown): %v", path, err)
+			t.violate("unclean %s error (not ErrUpstreamDown): %v", path, err)
 			return
 		}
 		upstreamDownSeen++
@@ -492,7 +465,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				if corruptOn {
 					t.Inconsist++
 				} else {
-					violate("name table has %d entries, want %d", len(ents), NumMetrics)
+					t.violate("name table has %d entries, want %d", len(ents), NumMetrics)
 				}
 				continue
 			}
@@ -502,7 +475,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 						t.Inconsist++ // cached corrupted table, tolerated
 						continue
 					}
-					violate("torn name table entry %d: %+v", i, e)
+					t.violate("torn name table entry %d: %+v", i, e)
 				}
 			}
 		}
@@ -516,29 +489,29 @@ func runTrial(o Options, idx int) (Trial, error) {
 	// Conservation laws: the Stats counters must exactly account for
 	// every operation and every injected fault.
 	if st.ClientFetches != int64(t.Fetches) {
-		violate("ClientFetches=%d but driver issued %d fetches", st.ClientFetches, t.Fetches)
+		t.violate("ClientFetches=%d but driver issued %d fetches", st.ClientFetches, t.Fetches)
 	}
 	if got, want := st.CoalescedHits+st.UpstreamFetches+st.StaleServes+int64(t.FetchErrs), st.ClientFetches; got != want {
-		violate("fetch accounting: coalesced(%d)+upstream(%d)+stale(%d)+errors(%d)=%d != ClientFetches=%d",
+		t.violate("fetch accounting: coalesced(%d)+upstream(%d)+stale(%d)+errors(%d)=%d != ClientFetches=%d",
 			st.CoalescedHits, st.UpstreamFetches, st.StaleServes, t.FetchErrs, got, want)
 	}
 	if st.UpstreamErrors != st.Retries+st.Exhausted {
-		violate("retry accounting: UpstreamErrors=%d != Retries=%d + Exhausted=%d",
+		t.violate("retry accounting: UpstreamErrors=%d != Retries=%d + Exhausted=%d",
 			st.UpstreamErrors, st.Retries, st.Exhausted)
 	}
 	// A corrupted timestamp byte can make the driver misclassify a result
 	// as stale (or fresh), so this law is exact only without corruption.
 	if !corruptOn && st.StaleServes != int64(t.Stale) {
-		violate("stale accounting: StaleServes=%d but driver observed %d stale results", st.StaleServes, t.Stale)
+		t.violate("stale accounting: StaleServes=%d but driver observed %d stale results", st.StaleServes, t.Stale)
 	}
 	if got, want := st.StaleServes+st.StaleNameServes+int64(upstreamDownSeen), st.Exhausted; got != want {
-		violate("exhaustion accounting: stale(%d)+staleNames(%d)+observedErrors(%d)=%d != Exhausted=%d",
+		t.violate("exhaustion accounting: stale(%d)+staleNames(%d)+observedErrors(%d)=%d != Exhausted=%d",
 			st.StaleServes, st.StaleNameServes, upstreamDownSeen, got, want)
 	}
 	fatal := int64(t.Faults.Fatal())
 	if corruptOn {
 		if st.UpstreamErrors < fatal || st.UpstreamErrors > fatal+int64(t.Faults.Corrupts) {
-			violate("fault accounting: UpstreamErrors=%d outside [fatal=%d, fatal+corrupts=%d]",
+			t.violate("fault accounting: UpstreamErrors=%d outside [fatal=%d, fatal+corrupts=%d]",
 				st.UpstreamErrors, fatal, fatal+int64(t.Faults.Corrupts))
 		}
 		// The proxy caches decoded results, so one corruption can surface
@@ -546,10 +519,10 @@ func runTrial(o Options, idx int) (Trial, error) {
 		// with zero fired corruptions would mean the stack tears data on
 		// its own.
 		if t.Inconsist > 0 && t.Faults.Corrupts == 0 {
-			violate("%d inconsistent values with no fired corruption", t.Inconsist)
+			t.violate("%d inconsistent values with no fired corruption", t.Inconsist)
 		}
 	} else if st.UpstreamErrors != fatal {
-		violate("fault accounting: UpstreamErrors=%d != injected fatal faults=%d (%s)",
+		t.violate("fault accounting: UpstreamErrors=%d != injected fatal faults=%d (%s)",
 			st.UpstreamErrors, fatal, t.Faults)
 	}
 
@@ -558,28 +531,28 @@ func runTrial(o Options, idx int) (Trial, error) {
 	// reset upstream must never leave a partial record.
 	var buf bytes.Buffer
 	if _, err := arch.WriteTo(&buf); err != nil {
-		violate("archive WriteTo failed: %v", err)
+		t.violate("archive WriteTo failed: %v", err)
 		return t, nil
 	}
 	reread, err := archive.Read(&buf, archive.Options{})
 	if err != nil {
-		violate("recorded archive unreadable (partial record?): %v", err)
+		t.violate("recorded archive unreadable (partial record?): %v", err)
 		return t, nil
 	}
 	rows, err := reread.All()
 	if err != nil {
-		violate("recorded archive undecodable: %v", err)
+		t.violate("recorded archive undecodable: %v", err)
 		return t, nil
 	}
 	t.Records = len(rows)
 	prevTS := int64(-1 << 62)
 	for _, row := range rows {
 		if row.Timestamp <= prevTS {
-			violate("archive rows out of order: %d after %d", row.Timestamp, prevTS)
+			t.violate("archive rows out of order: %d after %d", row.Timestamp, prevTS)
 		}
 		prevTS = row.Timestamp
 		if len(row.Values) != NumMetrics {
-			violate("partial archive row at ts=%d: %d of %d values", row.Timestamp, len(row.Values), NumMetrics)
+			t.violate("partial archive row at ts=%d: %d of %d values", row.Timestamp, len(row.Values), NumMetrics)
 			continue
 		}
 		for i, v := range row.Values {
@@ -587,7 +560,7 @@ func runTrial(o Options, idx int) (Trial, error) {
 				if corruptOn {
 					continue // bounded by the corruption budget, checked live
 				}
-				violate("corrupt archive row ts=%d pmid=%d value=%#x want=%#x", row.Timestamp, i+1, v, want)
+				t.violate("corrupt archive row ts=%d pmid=%d value=%#x want=%#x", row.Timestamp, i+1, v, want)
 			}
 		}
 	}

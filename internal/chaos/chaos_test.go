@@ -166,6 +166,46 @@ func TestBreakStaleDetected(t *testing.T) {
 	}
 }
 
+// TestReproLineReplaysSchedule: a repro line must rebuild the failing
+// trial's exact schedule and timeout. A named profile replays as
+// -profile, because the individual fault flags cannot carry MaxStall
+// or LatencyAmount (a stalls failure would replay with a 100ms stall
+// cap instead of 50ms, a latency failure with 1ms delays instead of
+// 200µs). That holds for the options as passed and as Run defaulted
+// them; a set timeout always rides along.
+func TestReproLineReplaysSchedule(t *testing.T) {
+	for _, name := range ProfileNames() {
+		o := opts(name)
+		o.Timeout = 750 * time.Millisecond
+		defaulted := o
+		defaulted.Schedule = withStallCap(o.Schedule)
+		for _, oo := range []Options{o, defaulted} {
+			line := ReproLine(oo, 1)
+			for _, want := range []string{" -profile " + name + " ", " -timeout 750ms"} {
+				if !strings.Contains(line, want) {
+					t.Errorf("profile %s: repro line %q missing %q", name, line, want)
+				}
+			}
+		}
+	}
+
+	// A schedule that is no named profile replays through the fault
+	// flags, and an unset timeout stays off the line.
+	o := opts("clean")
+	o.Schedule = faultconn.Schedule{ResetEvery: 1234, MaxChunk: 9}
+	line := ReproLine(o, 0)
+	for _, want := range []string{" -reset 1234", " -chunk 9"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("repro line %q missing %q", line, want)
+		}
+	}
+	for _, bad := range []string{"-profile", "-timeout"} {
+		if strings.Contains(line, bad) {
+			t.Errorf("repro line %q carries %q", line, bad)
+		}
+	}
+}
+
 // TestSingleTrialReplayMatches: replaying one trial by index (the repro
 // path) reproduces exactly the trial from the full sweep.
 func TestSingleTrialReplayMatches(t *testing.T) {

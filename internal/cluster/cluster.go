@@ -28,6 +28,8 @@
 // inconsistent node, not a torn buffer).
 package cluster
 
+import "papimc/internal/xrand"
+
 // Gamma constants decorrelating the seed, pmid and timestamp inputs of
 // the value model (SplitMix64's increment and two odd mixers).
 const (
@@ -35,18 +37,11 @@ const (
 	seedGamma = 0xBF58476D1CE4E5B9
 )
 
-// mix is one SplitMix64 scramble.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // MetricValue is the self-certifying value model: what metric pmid on
 // the node with noise seed seed must read at daemon time ts. Full
 // avalanche on every input, so a stale, torn, or wrong-node value
 // disagrees with its claimed (node, pmid, timestamp) binding in ~half
 // its bits and is caught by recomputation.
 func MetricValue(seed uint64, pmid uint32, ts int64) uint64 {
-	return mix(mix(seed*seedGamma) ^ (uint64(ts)*certGamma + uint64(pmid)))
+	return xrand.Mix(xrand.Mix(seed*seedGamma) ^ (uint64(ts)*certGamma + uint64(pmid)))
 }

@@ -9,6 +9,7 @@ import (
 
 	"papimc/internal/pcp"
 	"papimc/internal/simtime"
+	"papimc/internal/xrand"
 )
 
 // ErrNodeDown is the typed failure of a gated node source: the node is
@@ -42,7 +43,7 @@ type Node struct {
 // architecture parameter varied by seed: 4, 6 or 8 channels, so a
 // cluster is heterogeneous the way a real machine-room is.
 func NodeChannels(seed uint64) int {
-	return 4 + 2*int(mix(seed)%3)
+	return 4 + 2*int(xrand.Mix(seed)%3)
 }
 
 // MetricNames returns the node's metric namespace for a seed, sorted

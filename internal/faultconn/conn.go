@@ -134,7 +134,7 @@ func (d *dirState) chunkAt(max int) int {
 	if max <= 0 {
 		return 0
 	}
-	return 1 + int(mix(uint64(d.off)^d.in.seed^uint64(d.id)<<17)%uint64(max))
+	return 1 + int(xrand.Mix(uint64(d.off)^d.in.seed^uint64(d.id)<<17)%uint64(max))
 }
 
 // pace sleeps the bandwidth-cap duration for n delivered bytes.
@@ -222,7 +222,7 @@ func (c *conn) Read(p []byte) (int, error) {
 		if ok && f.Kind == Corrupt && d.off == bound && m > 0 {
 			// The chunk was capped to end right after the target byte, so
 			// the flipped byte is exactly stream offset f.Off.
-			p[m-1] ^= 1 << (mix(uint64(f.Off)^c.in.seed) % 8)
+			p[m-1] ^= 1 << (xrand.Mix(uint64(f.Off)^c.in.seed) % 8)
 			d.fired(f)
 			c.in.record(f)
 		}
@@ -271,7 +271,7 @@ func (c *conn) Write(p []byte) (int, error) {
 			// Never mutate the caller's buffer: corrupt a copy.
 			tmp := make([]byte, n)
 			copy(tmp, seg)
-			tmp[n-1] ^= 1 << (mix(uint64(f.Off)^c.in.seed) % 8)
+			tmp[n-1] ^= 1 << (xrand.Mix(uint64(f.Off)^c.in.seed) % 8)
 			seg = tmp
 		}
 		m, err := c.Conn.Write(seg)

@@ -253,16 +253,9 @@ func (in *Injector) record(f Fault) {
 // keeping it independent of the read/write fault streams.
 const refuseStream = 0x5EF05E
 
-// mix is one SplitMix64 scramble, used to derive substream seeds.
-func mix(z uint64) uint64 {
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
 // connSeed derives the seed of connection id's fault substreams.
 func (in *Injector) connSeed(id int) uint64 {
-	return mix(in.seed + uint64(id+1)*0x9E3779B97F4A7C15)
+	return xrand.Mix(in.seed + uint64(id+1)*0x9E3779B97F4A7C15)
 }
 
 // nextID reserves the next connection index.
@@ -286,7 +279,7 @@ func (in *Injector) refused(id int) bool {
 	if in.sched.RefuseProb <= 0 {
 		return false
 	}
-	rng := xrand.New(mix(in.connSeed(id) ^ refuseStream))
+	rng := xrand.New(xrand.Mix(in.connSeed(id) ^ refuseStream))
 	return rng.Float64() < in.sched.RefuseProb
 }
 
@@ -351,7 +344,7 @@ func (l *listener) Accept() (net.Conn, error) {
 func (in *Injector) wrap(c net.Conn, id int) net.Conn {
 	seed := in.connSeed(id)
 	fc := &conn{Conn: c, in: in, id: id}
-	fc.rd.init(in, id, Read, mix(seed^1))
-	fc.wr.init(in, id, Write, mix(seed^2))
+	fc.rd.init(in, id, Read, xrand.Mix(seed^1))
+	fc.wr.init(in, id, Write, xrand.Mix(seed^2))
 	return fc
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"papimc/internal/pcp"
 )
@@ -62,7 +61,6 @@ func TestBatchAccounting(t *testing.T) {
 		Ops:     ops,
 		Batch:   batch,
 		PMIDs:   []uint32{1, 2, 3},
-		Sim:     &SimModel{Seed: 7, Base: 5 * time.Microsecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +103,6 @@ func TestBatchRequiresBatchFetcher(t *testing.T) {
 		Ops:     1,
 		Batch:   4,
 		PMIDs:   []uint32{1},
-		Sim:     &SimModel{Seed: 1, Base: time.Microsecond},
 	})
 	if err == nil || !strings.Contains(err.Error(), "BatchFetcher") {
 		t.Fatalf("err = %v, want a BatchFetcher requirement error", err)

@@ -16,12 +16,10 @@
 // after the run, so percentile counts are exact with no recording
 // contention.
 //
-// In simulated-time mode (Options.Sim) the generator still issues every
-// request against the real target, but latencies are drawn from a
-// seeded deterministic service-time model and time is virtual: the
-// whole report — ops, throughput, every percentile — is bit-identical
-// across runs, which makes sweeps diffable and testable. Live mode
-// measures wall-clock round trips.
+// Latencies are wall-clock round trips. The deterministic, diffable
+// counterpart is the workload engine's virtual-time SimTarget
+// (internal/workload, pcploadgen -spec, pmcap); this package is the
+// wall-clock executor only.
 package loadgen
 
 import (
@@ -33,25 +31,11 @@ import (
 
 	"papimc/internal/pcp"
 	"papimc/internal/stats"
-	"papimc/internal/xrand"
 )
 
-// Typed option-validation errors, so callers (the workload subsystem,
-// cohort expansion) can distinguish a bad rate from a bad seed set with
-// errors.Is instead of string matching.
-var (
-	// ErrRate rejects a zero or negative arrival rate. A negative Rate is
-	// rejected in every mode — previously it only failed in open loop and
-	// silently rode along in closed loop.
-	ErrRate = errors.New("loadgen: rate must be positive")
-	// ErrSeedCount rejects a WorkerSeeds slice whose length does not
-	// match the worker count.
-	ErrSeedCount = errors.New("loadgen: WorkerSeeds length must equal Workers")
-	// ErrDuplicateSeed rejects two workers sharing a sim seed: their
-	// latency streams would be identical, silently halving the effective
-	// sample diversity.
-	ErrDuplicateSeed = errors.New("loadgen: duplicate worker seed")
-)
+// ErrRate rejects a zero open-loop rate or a negative rate in any mode,
+// typed so callers can match it with errors.Is.
+var ErrRate = errors.New("loadgen: rate must be positive")
 
 // Mode selects the load-generation discipline.
 type Mode int
@@ -181,49 +165,15 @@ func PipelinedFactory(addr string, conns int) Factory {
 	}
 }
 
-// SimModel is the deterministic service-time model used in
-// simulated-time mode: a base latency with bounded uniform jitter and a
-// rare heavy tail (the stand-in for resamples, GC pauses and scheduler
-// hiccups that make real tails interesting).
-type SimModel struct {
-	Seed   uint64
-	Base   time.Duration // mean service time; 0 means 10µs
-	Jitter float64       // relative uniform jitter; 0 means 0.25
-}
-
-// service draws the next deterministic service time in nanoseconds.
-func (s *SimModel) service(rng *xrand.Source) int64 {
-	base := float64(s.Base.Nanoseconds())
-	if base <= 0 {
-		base = 10_000
-	}
-	jitter := s.Jitter
-	if jitter <= 0 {
-		jitter = 0.25
-	}
-	u := float64(rng.Uint64()>>11) / (1 << 53)
-	svc := base * (1 + jitter*(2*u-1))
-	// ~1/128 of requests pay an 8–16x tail.
-	if rng.Uint64()%128 == 0 {
-		svc *= 8 + 8*float64(rng.Uint64()>>11)/(1<<53)
-	}
-	if svc < 1 {
-		svc = 1
-	}
-	return int64(svc)
-}
-
 // Options configures one load-generation run.
 type Options struct {
 	Mode    Mode
 	Workers int      // concurrent workers; 0 means 1
 	PMIDs   []uint32 // pmid set each request fetches; nil means {1}
-	// Ops is the per-worker request count. Required in simulated-time
-	// mode (virtual time has no wall deadline); in live mode it may be 0,
-	// in which case workers run until Duration elapses.
+	// Ops is the per-worker request count. It may be 0, in which case
+	// workers run until Duration elapses.
 	Ops int
-	// Duration bounds a live-mode run when Ops is 0. Ignored in
-	// simulated-time mode.
+	// Duration bounds a run when Ops is 0; 0 means one second.
 	Duration time.Duration
 	// Rate is the total open-loop arrival rate in fetched sets/second,
 	// split evenly across workers. Required when Mode is Open; must not
@@ -237,13 +187,6 @@ type Options struct {
 	// and throughput count fetched sets; a failed request counts one
 	// error.
 	Batch int
-	// Sim switches to deterministic simulated-time latencies.
-	Sim *SimModel
-	// WorkerSeeds, when non-nil, gives each sim worker an explicit seed
-	// substream (the workload subsystem derives these per cohort via
-	// sweep.Seed2). Length must equal the resolved worker count and the
-	// seeds must be distinct; nil keeps the default Sim.Seed derivation.
-	WorkerSeeds []uint64
 }
 
 // Result is one run's report.
@@ -256,8 +199,8 @@ type Result struct {
 	// status (admission control), kept apart from Errors: a shed is the
 	// tier working as configured, an error is the tier failing.
 	Shed       int64
-	Elapsed    time.Duration // virtual in simulated-time mode
-	Throughput float64       // ops per (virtual) second
+	Elapsed    time.Duration
+	Throughput float64 // ops per second
 	P50        time.Duration
 	P95        time.Duration
 	P99        time.Duration
@@ -267,11 +210,10 @@ type Result struct {
 
 // workerOut is one worker's private accumulation, merged after the run.
 type workerOut struct {
-	hist       stats.Histogram
-	ops, errs  int64
-	shed       int64
-	virtualEnd int64 // last virtual completion, simulated-time mode
-	err        error
+	hist      stats.Histogram
+	ops, errs int64
+	shed      int64
+	err       error
 }
 
 // countFailure classifies one failed request: typed overload rejections
@@ -297,22 +239,7 @@ func Run(f Factory, o Options) (Result, error) {
 	if o.Rate < 0 || (o.Mode == Open && o.Rate <= 0) {
 		return Result{}, fmt.Errorf("%w: got %g in %s loop", ErrRate, o.Rate, o.Mode)
 	}
-	if o.WorkerSeeds != nil {
-		if len(o.WorkerSeeds) != o.Workers {
-			return Result{}, fmt.Errorf("%w: %d seeds for %d workers", ErrSeedCount, len(o.WorkerSeeds), o.Workers)
-		}
-		seen := make(map[uint64]int, len(o.WorkerSeeds))
-		for i, s := range o.WorkerSeeds {
-			if prev, dup := seen[s]; dup {
-				return Result{}, fmt.Errorf("%w: workers %d and %d both use %d", ErrDuplicateSeed, prev, i, s)
-			}
-			seen[s] = i
-		}
-	}
-	if o.Sim != nil && o.Ops <= 0 {
-		return Result{}, fmt.Errorf("loadgen: simulated-time mode requires a per-worker Ops count")
-	}
-	if o.Sim == nil && o.Ops <= 0 && o.Duration <= 0 {
+	if o.Ops <= 0 && o.Duration <= 0 {
 		o.Duration = time.Second
 	}
 
@@ -330,18 +257,13 @@ func Run(f Factory, o Options) (Result, error) {
 				return
 			}
 			defer cleanup()
-			if o.Sim != nil {
-				runSimWorker(fet, o, w, out)
-			} else {
-				runLiveWorker(fet, o, w, start, out)
-			}
+			runWorker(fet, o, start, out)
 		}(w)
 	}
 	wg.Wait()
 
 	res := Result{Mode: o.Mode, Workers: o.Workers}
 	var hist stats.Histogram
-	var virtualEnd int64
 	for i := range outs {
 		if outs[i].err != nil {
 			return Result{}, fmt.Errorf("loadgen: worker %d: %w", i, outs[i].err)
@@ -350,15 +272,8 @@ func Run(f Factory, o Options) (Result, error) {
 		res.Errors += outs[i].errs
 		res.Shed += outs[i].shed
 		hist.Merge(&outs[i].hist)
-		if outs[i].virtualEnd > virtualEnd {
-			virtualEnd = outs[i].virtualEnd
-		}
 	}
-	if o.Sim != nil {
-		res.Elapsed = time.Duration(virtualEnd)
-	} else {
-		res.Elapsed = time.Since(start)
-	}
+	res.Elapsed = time.Since(start)
 	if s := res.Elapsed.Seconds(); s > 0 {
 		res.Throughput = float64(res.Ops) / s
 	}
@@ -401,55 +316,9 @@ func fetchOp(fet Fetcher, o Options) (func() error, int, error) {
 	}, o.Batch, nil
 }
 
-// runSimWorker issues o.Ops real requests and advances a virtual clock
-// by deterministic service times. In the open loop, arrivals are spaced
-// at the per-worker inter-arrival interval and latency includes the
-// virtual queueing delay behind earlier requests on this connection.
-func runSimWorker(fet Fetcher, o Options, w int, out *workerOut) {
-	seed := o.Sim.Seed ^ (uint64(w+1) * 0x9E3779B97F4A7C15)
-	if o.WorkerSeeds != nil {
-		seed = o.WorkerSeeds[w]
-	}
-	rng := xrand.New(seed)
-	op, per, err := fetchOp(fet, o)
-	if err != nil {
-		out.err = err
-		return
-	}
-	var interArrival float64
-	if o.Mode == Open {
-		interArrival = float64(o.Workers*per) / o.Rate * 1e9
-	}
-	var busy int64
-	for i := 0; i < o.Ops; i++ {
-		if err := op(); err != nil {
-			out.countFailure(err)
-			continue
-		}
-		svc := o.Sim.service(rng)
-		var lat int64
-		if o.Mode == Open {
-			sched := int64(float64(i) * interArrival)
-			begin := sched
-			if busy > begin {
-				begin = busy
-			}
-			done := begin + svc
-			lat = done - sched
-			busy = done
-		} else {
-			busy += svc
-			lat = svc
-		}
-		out.hist.Record(lat)
-		out.ops += int64(per)
-	}
-	out.virtualEnd = busy
-}
-
-// runLiveWorker measures wall-clock round trips until the op count or
+// runWorker measures wall-clock round trips until the op count or
 // deadline is reached.
-func runLiveWorker(fet Fetcher, o Options, w int, start time.Time, out *workerOut) {
+func runWorker(fet Fetcher, o Options, start time.Time, out *workerOut) {
 	op, per, err := fetchOp(fet, o)
 	if err != nil {
 		out.err = err

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"papimc/internal/xrand"
 )
 
 // Seed derives the seed of task index from a sweep's base seed. It is a
@@ -23,10 +25,7 @@ import (
 // independent substreams, so per-task generators do not correlate.
 func Seed(base uint64, index int) uint64 {
 	const gamma = 0x9E3779B97F4A7C15
-	z := base + uint64(index+1)*gamma
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
+	return xrand.Mix(base + uint64(index+1)*gamma)
 }
 
 // Seed2 derives the seed of element (i, j) of a two-level substream

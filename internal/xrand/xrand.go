@@ -29,7 +29,13 @@ const (
 // Uint64 returns the next 64-bit value in the stream.
 func (s *Source) Uint64() uint64 {
 	s.state += gamma
-	z := s.state
+	return Mix(s.state)
+}
+
+// Mix is the SplitMix64 finalizer: a full-avalanche scramble of z. It is
+// the one copy every package uses to derive substream seeds and
+// self-certifying values.
+func Mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * mul1
 	z = (z ^ (z >> 27)) * mul2
 	return z ^ (z >> 31)

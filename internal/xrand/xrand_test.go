@@ -143,3 +143,17 @@ func TestLogNormalPositive(t *testing.T) {
 		}
 	}
 }
+
+// TestMixKnownAnswers pins the exported finalizer to the SplitMix64
+// reference: the first output of a zero-seeded stream, and Uint64 as
+// exactly Mix of the advanced state.
+func TestMixKnownAnswers(t *testing.T) {
+	if got := Mix(gamma); got != 0xE220A8397B1DCDAF {
+		t.Fatalf("Mix(gamma) = %#x, want the SplitMix64 reference 0xe220a8397b1dcdaf", got)
+	}
+	for _, seed := range []uint64{0, 1, 0xC4A05, 1 << 63} {
+		if got, want := New(seed).Uint64(), Mix(seed+gamma); got != want {
+			t.Errorf("seed %#x: Uint64 = %#x, Mix = %#x", seed, got, want)
+		}
+	}
+}
