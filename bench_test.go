@@ -27,10 +27,12 @@ import (
 	"papimc/internal/figures"
 	"papimc/internal/harness"
 	"papimc/internal/kernels"
+	"papimc/internal/loadgen"
 	"papimc/internal/metricql"
 	"papimc/internal/model"
 	"papimc/internal/mpi"
 	"papimc/internal/node"
+	"papimc/internal/papi"
 	"papimc/internal/pcp"
 	"papimc/internal/pmproxy"
 	"papimc/internal/trace"
@@ -61,8 +63,7 @@ func meanPointErrors(b *testing.B, pts []harness.Point, keep func(size int64) bo
 	b.ReportMetric(writeErr/float64(n), "write-err")
 }
 
-func benchGEMMFig(b *testing.B, gen func(figures.Options) (*figures.Result, error),
-	cfg harness.GEMMConfig, keep func(int64) bool) {
+func benchGEMMFig(b *testing.B, cfg harness.GEMMConfig, keep func(int64) bool) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
 		pts, err := harness.GEMMSweep(cfg)
@@ -73,7 +74,6 @@ func benchGEMMFig(b *testing.B, gen func(figures.Options) (*figures.Result, erro
 			meanPointErrors(b, pts, keep)
 		}
 	}
-	_ = gen
 }
 
 func quickGEMMConfig(m arch.Machine, batched bool, route node.Route, reps harness.RepsPolicy) harness.GEMMConfig {
@@ -91,38 +91,32 @@ func cachedRegime(n int64) bool { return n <= 800 }
 // BenchmarkFig2a: serial GEMM, 1 rep, PCP. The paper's point is that
 // the error is LARGE here; the metric records it.
 func BenchmarkFig2a(b *testing.B) {
-	benchGEMMFig(b, figures.Fig2a,
-		quickGEMMConfig(arch.Summit(), false, node.ViaPCP, harness.SingleRep), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Summit(), false, node.ViaPCP, harness.SingleRep), cachedRegime)
 }
 
 // BenchmarkFig2b: serial GEMM, 1 rep, perf_uncore — equally noisy.
 func BenchmarkFig2b(b *testing.B) {
-	benchGEMMFig(b, figures.Fig2b,
-		quickGEMMConfig(arch.Tellico(), false, node.Direct, harness.SingleRep), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Tellico(), false, node.Direct, harness.SingleRep), cachedRegime)
 }
 
 // BenchmarkFig3a: adaptive reps shrink the serial error.
 func BenchmarkFig3a(b *testing.B) {
-	benchGEMMFig(b, figures.Fig3a,
-		quickGEMMConfig(arch.Summit(), false, node.ViaPCP, harness.AdaptiveReps), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Summit(), false, node.ViaPCP, harness.AdaptiveReps), cachedRegime)
 }
 
 // BenchmarkFig3b: batched GEMM matches the expectation tightly below
 // the Eq. 4 jump.
 func BenchmarkFig3b(b *testing.B) {
-	benchGEMMFig(b, figures.Fig3b,
-		quickGEMMConfig(arch.Summit(), true, node.ViaPCP, harness.AdaptiveReps), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Summit(), true, node.ViaPCP, harness.AdaptiveReps), cachedRegime)
 }
 
 // BenchmarkFig4a/b: the Tellico (perf_uncore) counterparts.
 func BenchmarkFig4a(b *testing.B) {
-	benchGEMMFig(b, figures.Fig4a,
-		quickGEMMConfig(arch.Tellico(), false, node.Direct, harness.AdaptiveReps), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Tellico(), false, node.Direct, harness.AdaptiveReps), cachedRegime)
 }
 
 func BenchmarkFig4b(b *testing.B) {
-	benchGEMMFig(b, figures.Fig4b,
-		quickGEMMConfig(arch.Tellico(), true, node.Direct, harness.AdaptiveReps), cachedRegime)
+	benchGEMMFig(b, quickGEMMConfig(arch.Tellico(), true, node.Direct, harness.AdaptiveReps), cachedRegime)
 }
 
 func benchGEMV(b *testing.B, m arch.Machine, route node.Route) {
@@ -301,29 +295,36 @@ func BenchmarkEventSetReadPCP(b *testing.B) {
 }
 
 func benchEventSetRead(b *testing.B, route node.Route) {
-	tb, err := node.NewTestbed(arch.Tellico(), 1, node.Options{DisableNoise: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tb.Close()
-	lib, _, err := tb.NewLibrary()
-	if err != nil {
-		b.Fatal(err)
-	}
-	es := lib.NewEventSet()
-	if err := es.AddAll(tb.NestEventNames(route)...); err != nil {
-		b.Fatal(err)
-	}
-	if err := es.Start(); err != nil {
-		b.Fatal(err)
-	}
-	defer es.Close()
+	es := startEventSet(b, route)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := es.Read(); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// startEventSet starts an EventSet over every nest event route exposes
+// on a one-node, noise-free Tellico testbed.
+func startEventSet(tb testing.TB, route node.Route) *papi.EventSet {
+	bed, err := node.NewTestbed(arch.Tellico(), 1, node.Options{DisableNoise: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { bed.Close() })
+	lib, _, err := bed.NewLibrary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	es := lib.NewEventSet()
+	if err := es.AddAll(bed.NestEventNames(route)...); err != nil {
+		tb.Fatal(err)
+	}
+	if err := es.Start(); err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { es.Close() })
+	return es
 }
 
 // BenchmarkDistributedFFT: the full 8-rank numeric pipeline.
@@ -394,38 +395,125 @@ func BenchmarkPDUNamesEncodeDecode(b *testing.B) {
 // trip. Compare with BenchmarkEventSetReadPCP (every read hits the
 // daemon) for the multiplexing win; the coalescing ratio is reported.
 func BenchmarkProxyFetchCoalesced(b *testing.B) {
-	tb, err := node.NewTestbed(arch.Tellico(), 1, node.Options{DisableNoise: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer tb.Close()
-	p := pmproxy.New(pmproxy.Config{
-		Upstream: tb.PMCDAddr,
-		Clock:    tb.Clock,
-		Interval: tb.Machine.Noise.PMCDSampleInterval,
-	})
-	addr, err := p.Start("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	c, err := pcp.Dial(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	pmids := []uint32{1, 2, 3, 4, 5, 6, 7, 8}
-	if _, err := c.Fetch(pmids); err != nil { // warm the cache
-		b.Fatal(err)
-	}
+	c, p := dialCoalescedProxy(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Fetch(pmids); err != nil {
+		if _, err := c.Fetch(wirePMIDs); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
 	b.ReportMetric(p.Stats().CoalescingRatio(), "coalescing-ratio")
+}
+
+var wirePMIDs = []uint32{1, 2, 3, 4, 5, 6, 7, 8}
+
+// startProxy starts a pmproxy in front of a one-node, noise-free
+// testbed of machine m and returns it with its address.
+func startProxy(tb testing.TB, m arch.Machine) (*pmproxy.Proxy, string) {
+	bed, err := node.NewTestbed(m, 1, node.Options{DisableNoise: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { bed.Close() })
+	p, addr, err := bed.StartProxy()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return p, addr
+}
+
+// dialCoalescedProxy dials a Tellico proxy and warms its cache, so every
+// later fetch of wirePMIDs inside the sample interval is a cache hit.
+func dialCoalescedProxy(tb testing.TB) (*pcp.Client, *pmproxy.Proxy) {
+	p, addr := startProxy(tb, arch.Tellico())
+	c, err := pcp.Dial(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { c.Close() })
+	if _, err := c.Fetch(wirePMIDs); err != nil {
+		tb.Fatal(err)
+	}
+	return c, p
+}
+
+// TestEventSetReadPCPAllocs pins a read through the pcp component at
+// one allocation, the values slice the PAPI API hands to callers.
+func TestEventSetReadPCPAllocs(t *testing.T) {
+	es := startEventSet(t, node.ViaPCP)
+	pinAllocs(t, 1, func() error { _, err := es.Read(); return err })
+}
+
+// TestProxyFetchCoalescedAllocs pins a cache-hit fetch through pmproxy
+// at four allocations.
+func TestProxyFetchCoalescedAllocs(t *testing.T) {
+	c, _ := dialCoalescedProxy(t)
+	pinAllocs(t, 4, func() error { _, err := c.Fetch(wirePMIDs); return err })
+}
+
+// pinAllocs fails t unless op allocates exactly want objects per call,
+// counted process-wide, so both sides of a loopback connection count.
+func pinAllocs(t *testing.T, want float64, op func() error) {
+	if raceEnabled {
+		t.Skip("the race detector allocates in sync.Pool and channel operations")
+	}
+	if got := testing.AllocsPerRun(200, func() {
+		if err := op(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != want {
+		t.Errorf("%.1f allocs per op, want %.0f", got, want)
+	}
+}
+
+// BenchmarkProxyWire: proxied fetch throughput, lockstep Version1 vs
+// pipelined, batched Version3, at saturation (latency there is backlog)
+// and as a p99 pair at equal load (75% of lockstep capacity). Run it
+// with -cpu 8 so hosts compare: the win is round-trip amortization.
+func BenchmarkProxyWire(b *testing.B) {
+	_, addr := startProxy(b, arch.Summit())
+	lockstep := func() (loadgen.Fetcher, func() error, error) {
+		c, err := pcp.DialMax(addr, pcp.Version1)
+		if err != nil {
+			return nil, nil, err
+		}
+		return c, c.Close, nil
+	}
+	var capacity float64 // lockstep sets/s at saturation
+	for _, arm := range []struct {
+		name           string
+		factory        loadgen.Factory
+		workers, batch int
+		rate           float64 // 0: 75% of the saturation/lockstep arm's sets/s
+	}{
+		{"saturation/lockstep", lockstep, 16, 1, 4e6},
+		{"saturation/pipelined", loadgen.PipelinedFactory(addr, 4), 256, 256, 8e6},
+		{"equal-load/lockstep", lockstep, 16, 1, 0},
+		{"equal-load/pipelined", loadgen.PipelinedFactory(addr, 2), 16, 4, 0},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			rate := arm.rate
+			if rate == 0 {
+				rate = 0.75 * capacity
+			}
+			res, err := loadgen.Run(arm.factory, loadgen.Options{
+				Mode: loadgen.Open, Workers: arm.workers, PMIDs: wirePMIDs,
+				Ops: b.N/(arm.workers*arm.batch) + 1, Rate: rate, Batch: arm.batch,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Errors != 0 || res.Shed != 0 {
+				b.Fatalf("%d errors, %d sheds in %d sets", res.Errors, res.Shed, res.Ops)
+			}
+			if arm.name == "saturation/lockstep" {
+				capacity = res.Throughput
+			}
+			b.ReportMetric(res.Throughput, "sets/s")
+			b.ReportMetric(float64(res.P99.Microseconds())/1e3, "p99-ms")
+		})
+	}
 }
 
 // BenchmarkArchiveAppend: pmlogger's recording hot path — one fetch

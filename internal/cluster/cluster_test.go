@@ -412,7 +412,10 @@ func TestServedFederatorClientParity(t *testing.T) {
 	}
 }
 
-func BenchmarkRootFetchAll(b *testing.B) {
+// benchTrees runs body once per benchmarked tree size over an
+// in-process fan-out-8 tree whose clock has just passed one sample
+// interval: 64 nodes is the CI acceptance geometry, 1024 the scale point.
+func benchTrees(b *testing.B, body func(b *testing.B, tr *Tree, nodes int)) {
 	for _, nodes := range []int{64, 256, 1024} {
 		b.Run(fmt.Sprintf("nodes=%d", nodes), func(b *testing.B) {
 			tr, err := Assemble(Config{Nodes: nodes, FanOut: 8, Seed: 1, Interval: testInterval})
@@ -421,15 +424,46 @@ func BenchmarkRootFetchAll(b *testing.B) {
 			}
 			defer tr.Close()
 			tr.Clock.Advance(testInterval + 1)
-			if _, err := tr.Root.FetchAll(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := tr.Root.FetchAll(); err != nil {
-					b.Fatal(err)
-				}
-			}
+			body(b, tr, nodes)
 		})
 	}
+}
+
+// BenchmarkRootFetchAll: the pure scatter-gather path. The clock holds
+// still, so every daemon serves its cached sample and the number is the
+// tree's routing and merge cost.
+func BenchmarkRootFetchAll(b *testing.B) {
+	benchTrees(b, func(b *testing.B, tr *Tree, _ int) {
+		_, err := tr.Root.FetchAll()
+		b.ResetTimer()
+		for i := 0; err == nil && i < b.N; i++ {
+			_, err = tr.Root.FetchAll()
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	})
+}
+
+// BenchmarkGroupByNode: sum(mem.read_bw) by (node) at the root with a
+// fresh sample interval per op, so every daemon resamples — the cost of
+// a grouped query against live data. It fails on any error (a
+// *pcp.PartialError names missing nodes) or unless one group per node.
+func BenchmarkGroupByNode(b *testing.B) {
+	benchTrees(b, func(b *testing.B, tr *Tree, nodes int) {
+		q, err := metricql.NewEngine(tr.Root).Query("sum(mem.read_bw) by (node)")
+		if err != nil {
+			b.Fatal(err)
+		}
+		v, err := q.Eval()
+		b.ResetTimer()
+		for i := 0; err == nil && i < b.N; i++ {
+			tr.Clock.Advance(testInterval + 1)
+			v, err = q.Eval()
+		}
+		b.StopTimer()
+		if err != nil || len(v.Vals) != nodes {
+			b.Fatalf("grouped query: %d groups, want one per node (%d); err %v", len(v.Vals), nodes, err)
+		}
+	})
 }

@@ -21,6 +21,21 @@ func BenchmarkRead(b *testing.B) {
 	}
 }
 
+// BenchmarkReadInto: the same snapshot into a reused buffer — the
+// steady-state path the nest PMU actually runs on every sample.
+func BenchmarkReadInto(b *testing.B) {
+	c, _ := noisyController(1)
+	t := simtime.Time(0)
+	var dst []ChannelCounts
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t = t.Add(100 * simtime.Microsecond)
+		c.AddTraffic(true, int64(i)*64, 1<<16, t, t)
+		dst = c.ReadInto(t, dst)
+	}
+}
+
 // BenchmarkTotals: the summed variant used by the nest metrics.
 func BenchmarkTotals(b *testing.B) {
 	c, _ := noisyController(2)

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -243,3 +244,28 @@ var errFactory = &factoryErr{}
 type factoryErr struct{}
 
 func (*factoryErr) Error() string { return "factory down" }
+
+// BenchmarkDiurnalSimRate: virtual seconds simulated per wall second on
+// the million-client diurnal spec, the scale capacity sweeps run at.
+// The spec is seeded, so every run must process the same events.
+func BenchmarkDiurnalSimRate(b *testing.B) {
+	spec, err := LoadSpec(filepath.Join("..", "..", "examples", "workload-specs", "diurnal.yaml"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var virtual float64
+	var events int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := Run(spec, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 && rep.Events != events {
+			b.Fatalf("run %d processed %d events, run 0 processed %d", i, rep.Events, events)
+		}
+		events = rep.Events
+		virtual += float64(rep.Horizon) / 1e9
+	}
+	b.ReportMetric(virtual/b.Elapsed().Seconds(), "virtual-s/s")
+}
